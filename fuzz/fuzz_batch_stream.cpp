@@ -1,27 +1,34 @@
 // Fuzz harness for the batch NDJSON layer (src/batch/).
 //
-// The first input byte selects the batch algorithm and whether schedules
-// are embedded; the rest is fed twice:
+// The first input byte selects the batch algorithm, whether schedules are
+// embedded and whether the formatted record is an ok or an error line; the
+// rest is fed three times:
 //
 //   1. line by line through parse_instance_record, asserting the record
 //      contract: rejection is a typed exception (util::Error,
 //      util::OverflowError, std::invalid_argument, std::length_error from
 //      absurd advertised counts) and acceptance round-trips —
 //      parse(format(parse(x))) must yield the same id and instance;
-//   2. as a whole stream through run_batch (threads=1, tiny queue),
+//   2. as the fields of a ResultRecord, asserting format_result_record
+//      writes the bytes of the util::Json DOM reference formatter
+//      (tests/result_record_reference.hpp);
+//   3. as a whole stream through run_batch (threads=1, tiny queue),
 //      asserting the pipeline contract: malformed records NEVER abort the
 //      batch — run_batch returns a summary whose counts add up, and the
 //      only exceptions that may escape are the typed ones above (a bad
 //      stream is data, not a usage error). std::logic_error escaping —
 //      including the pipeline's own "produced infeasible schedule" check —
 //      is a finding and crashes the process.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "../tests/result_record_reference.hpp"
 #include "batch/pipeline.hpp"
 #include "batch/stream.hpp"
 #include "util/error.hpp"
@@ -67,6 +74,33 @@ void fuzz_records(const std::string& doc) {
   }
 }
 
+void fuzz_result_record(std::uint8_t selector, const std::string& doc) {
+  // The numbers come from the first 8 input bytes and every string field
+  // holds the rest, so the formatter meets the input's own bytes to escape
+  // and integers on both sides of 2^53.
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, doc.data(), std::min(doc.size(), sizeof(bits)));
+  const auto value = static_cast<std::int64_t>(bits);
+  const std::string text =
+      doc.size() > sizeof(bits) ? doc.substr(sizeof(bits)) : doc;
+  batch::ResultRecord rec;
+  rec.index = bits;
+  rec.id = text;
+  rec.ok = (selector & 0x40) != 0;
+  rec.algorithm = text;
+  rec.machines = static_cast<int>(value);
+  rec.jobs = bits >> 11;
+  rec.makespan = value;
+  rec.lower_bound = value / 3;
+  rec.blocks = bits >> 1;
+  rec.schedule_text = text;
+  rec.error_code = text;
+  rec.error_message = text;
+  check(batch::format_result_record(rec) ==
+            batch::reference::dom_result_record(rec),
+        "result line differs from the util::Json DOM reference");
+}
+
 void fuzz_pipeline(std::uint8_t selector, const std::string& doc) {
   static const char* const kAlgorithms[] = {"window", "unit", "gg",
                                             "equalsplit", "sequential"};
@@ -90,6 +124,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   if (size == 0) return 0;
   const std::string doc(reinterpret_cast<const char*>(data + 1), size - 1);
   fuzz_records(doc);
+  fuzz_result_record(data[0], doc);
   try {
     fuzz_pipeline(data[0], doc);
   } catch (const Error&) {

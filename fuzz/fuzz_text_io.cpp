@@ -1,7 +1,8 @@
 // Fuzz harness for the text IO readers.
 //
-// The first input byte selects a reader; the rest is fed to it as a
-// document. The harness asserts the readers' adversarial-input contract:
+// The first input byte selects a reader (byte % 5) and, for schedules, a
+// share scale (byte / 5); the rest is fed to the reader as a document. The
+// harness asserts the readers' adversarial-input contract:
 //
 //   * rejection is always a typed exception — util::Error (parse/io),
 //     util::OverflowError (adversarial magnitudes), or std::invalid_argument
@@ -9,13 +10,21 @@
 //     (std::logic_error, std::bad_alloc from absurd reserves, UB caught by a
 //     sanitizer) is a finding and crashes the process;
 //   * acceptance is always round-trippable: write(read(x)) must parse back
-//     to an equal value — an accepted-but-mangled document is also a bug.
+//     to an equal value — an accepted-but-mangled document is also a bug;
+//   * an accepted schedule written through io::append_schedule at the
+//     selected scale equals write_schedule(decanonicalize_schedule(...)),
+//     and the two throw OverflowError on the same schedules.
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "cache/canonical.hpp"
 #include "io/text_io.hpp"
 #include "util/error.hpp"
 
@@ -46,7 +55,7 @@ void fuzz_instance(const std::string& doc) {
         "instance round trip changed the value");
 }
 
-void fuzz_schedule(const std::string& doc) {
+void fuzz_schedule(std::uint8_t selector, const std::string& doc) {
   std::istringstream is(doc);
   const sharedres::core::Schedule sched = io::read_schedule(is);
   std::ostringstream os;
@@ -54,6 +63,34 @@ void fuzz_schedule(const std::string& doc) {
   std::istringstream back(os.str());
   check(io::read_schedule(back) == sched,
         "schedule round trip changed the value");
+
+  // The scaled writer against its reference, write_schedule of the
+  // decanonicalized copy: the same bytes, or OverflowError from both.
+  static constexpr sharedres::core::Res kScales[] = {
+      1, 2, 7, 1000, std::int64_t{1} << 31, (std::int64_t{1} << 32) + 1,
+      std::int64_t{1} << 62, std::numeric_limits<std::int64_t>::max()};
+  const sharedres::core::Res scale =
+      kScales[(selector / 5) % std::size(kScales)];
+  std::optional<std::string> want;
+  try {
+    const sharedres::core::Schedule scaled =
+        sharedres::cache::decanonicalize_schedule(sched, scale);
+    std::ostringstream ws;
+    io::write_schedule(ws, scaled);
+    want = ws.str();
+  } catch (const OverflowError&) {
+  }
+  std::string got = "kept";
+  bool threw = false;
+  try {
+    io::append_schedule(got, sched, scale);
+  } catch (const OverflowError&) {
+    threw = true;
+  }
+  check(threw == !want.has_value(),
+        "append_schedule and decanonicalize_schedule disagree on overflow");
+  check(got == (threw ? "kept" : "kept" + *want),
+        "append_schedule differs from write_schedule(decanonicalize_schedule)");
 }
 
 void fuzz_sas(const std::string& doc) {
@@ -98,7 +135,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   try {
     switch (data[0] % 5) {
       case 0: fuzz_instance(doc); break;
-      case 1: fuzz_schedule(doc); break;
+      case 1: fuzz_schedule(data[0], doc); break;
       case 2: fuzz_sas(doc); break;
       case 3: fuzz_packing(doc); break;
       case 4: fuzz_online(doc); break;

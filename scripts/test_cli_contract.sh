@@ -235,6 +235,36 @@ grep -q '"summary":true,"records":7,"ok":6,"failed":1' "$tmp/results2.ndjson" ||
 "$CLI" gen --count=3 >/dev/null 2>&1
 expect "gen --count without --format=ndjson" 2 $?
 
+# `--in=-` reads standard input with the same line semantics as a file:
+# blank lines skipped without taking an index, and a last line with no
+# trailing newline still counted as a record.
+{
+  "$CLI" gen --family=bimodal --machines=4 --jobs=12 --seed=40 --count=3 \
+    --format=ndjson
+  printf '\n  \t\n'
+  "$CLI" gen --family=uniform --machines=3 --jobs=9 --seed=50 --count=2 \
+    --format=ndjson
+  printf '\n'
+  "$CLI" gen --family=pareto --machines=5 --jobs=8 --seed=60 --count=1 \
+    --format=ndjson | tr -d '\n'
+} > "$tmp/stdin.ndjson" 2>/dev/null
+"$CLI" batch --in="$tmp/stdin.ndjson" --emit-schedules \
+  > "$tmp/from-file.ndjson" 2>/dev/null
+expect "batch --in=<file> with blank lines and no final newline" 0 $?
+cat "$tmp/stdin.ndjson" | "$CLI" batch --in=- --emit-schedules \
+  > "$tmp/from-stdin.ndjson" 2>/dev/null
+expect "batch --in=- with blank lines and no final newline" 0 $?
+grep -q '"summary":true,"records":6,"ok":6,"failed":0' "$tmp/from-file.ndjson" || {
+  echo 'FAIL: batch --in=<file> summary does not count all six records'
+  fail=1
+}
+if cmp -s "$tmp/from-file.ndjson" "$tmp/from-stdin.ndjson"; then
+  echo "ok: batch --in=- output identical to --in=<file>"
+else
+  echo "FAIL: batch --in=- output differs from --in=<file>"
+  fail=1
+fi
+
 # ---- env-var fail-point activation (only in failpoint-enabled builds) ------
 SHAREDRES_FAILPOINTS='io.next_line=throw@2' \
   "$CLI" bounds --instance="$tmp/inst.txt" >/dev/null 2>&1

@@ -45,8 +45,8 @@
 // can vary — the cache.* counters in the summary metrics block are
 // thread-count-invariant. Workers then either publish the canonical solve
 // (first occurrence of a key) or wait for it (repeats), and each record
-// de-canonicalizes with its own scale factor, keeping per-record lines
-// byte-identical to a cache-off run. DESIGN.md §11.
+// writes its schedule text with its own scale factor folded into the shares,
+// keeping per-record lines byte-identical to a cache-off run. DESIGN.md §11.
 #pragma once
 
 #include <cstdint>

@@ -71,13 +71,16 @@ struct Scanner {
       ++p;
     }
     const char* digits = p;
-    std::int64_t v = 0;
+    // Unsigned, so an over-long digit run wraps harmlessly before the length
+    // check below rejects it.
+    std::uint64_t v = 0;
     while (p < end && *p >= '0' && *p <= '9') {
-      v = v * 10 + (*p - '0');
+      v = v * 10 + static_cast<std::uint64_t>(*p - '0');
       ++p;
     }
     if (p == digits || p - digits > 15) return false;
-    out = neg ? -v : v;
+    const auto value = static_cast<std::int64_t>(v);
+    out = neg ? -value : value;
     return true;
   }
   /// String with no escapes and no control bytes (either would need the DOM
@@ -334,27 +337,47 @@ std::string format_instance_record(const core::Instance& instance,
 }
 
 std::string format_result_record(const ResultRecord& record) {
-  util::Json doc{util::Json::Object{}};
-  doc.emplace("index", static_cast<std::uint64_t>(record.index));
-  if (!record.id.empty()) doc.emplace("id", record.id);
-  doc.emplace("ok", record.ok);
+  // Appended field by field with util::Json's own string and integer text,
+  // so the bytes are what a util::Json object of the same keys dumps (pinned
+  // against a DOM reference formatter in tests/test_batch.cpp and
+  // fuzz_batch_stream).
+  std::string out;
+  // Reserve the whole line once. The schedule text dominates it, and
+  // escaping adds a byte per newline: at most one per 9 bytes of schedule.
+  out.reserve(160 + record.id.size() + record.error_message.size() +
+              record.schedule_text.size() + record.schedule_text.size() / 8);
+  out += "{\"index\":";
+  util::append_json_int(out, static_cast<std::uint64_t>(record.index));
+  if (!record.id.empty()) {
+    out += ",\"id\":";
+    util::append_json_string(out, record.id);
+  }
   if (record.ok) {
-    doc.emplace("algorithm", record.algorithm);
-    doc.emplace("machines", record.machines);
-    doc.emplace("jobs", static_cast<std::uint64_t>(record.jobs));
-    doc.emplace("makespan", record.makespan);
-    doc.emplace("lower_bound", record.lower_bound);
-    doc.emplace("blocks", static_cast<std::uint64_t>(record.blocks));
+    out += ",\"ok\":true,\"algorithm\":";
+    util::append_json_string(out, record.algorithm);
+    out += ",\"machines\":";
+    util::append_json_int(out, std::int64_t{record.machines});
+    out += ",\"jobs\":";
+    util::append_json_int(out, static_cast<std::uint64_t>(record.jobs));
+    out += ",\"makespan\":";
+    util::append_json_int(out, std::int64_t{record.makespan});
+    out += ",\"lower_bound\":";
+    util::append_json_int(out, std::int64_t{record.lower_bound});
+    out += ",\"blocks\":";
+    util::append_json_int(out, static_cast<std::uint64_t>(record.blocks));
     if (!record.schedule_text.empty()) {
-      doc.emplace("schedule", record.schedule_text);
+      out += ",\"schedule\":";
+      util::append_json_string(out, record.schedule_text);
     }
   } else {
-    util::Json error{util::Json::Object{}};
-    error.emplace("code", record.error_code);
-    error.emplace("message", record.error_message);
-    doc.emplace("error", std::move(error));
+    out += ",\"ok\":false,\"error\":{\"code\":";
+    util::append_json_string(out, record.error_code);
+    out += ",\"message\":";
+    util::append_json_string(out, record.error_message);
+    out += '}';
   }
-  return doc.dump();
+  out += '}';
+  return out;
 }
 
 }  // namespace sharedres::batch

@@ -1,6 +1,5 @@
 #include "batch/worker.hpp"
 
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -159,7 +158,7 @@ void bump_ok_counters(WorkerScratch& scratch, const ResultRecord& rec) {
 void solve_record_fields(const core::Instance& inst,
                          const WorkOptions& options,
                          std::uint64_t deadline_steps, WorkerScratch& scratch,
-                         ResultRecord& rec) {
+                         ResultRecord& rec, core::Res scale) {
   {
     util::deadline::Limits limits;
     limits.max_steps = deadline_steps != 0 ? deadline_steps
@@ -188,9 +187,7 @@ void solve_record_fields(const core::Instance& inst,
   rec.lower_bound = core::lower_bounds(inst).combined();
   rec.blocks = scratch.schedule.blocks().size();
   if (options.emit_schedules) {
-    std::ostringstream ss;
-    io::write_schedule(ss, scratch.schedule);
-    rec.schedule_text = ss.str();
+    io::append_schedule(rec.schedule_text, scratch.schedule, scale);
   }
   bump_ok_counters(scratch, rec);
 }
@@ -229,10 +226,8 @@ std::string process_cached(CachedWork& work, std::size_t index,
         rec.lower_bound = value->lower_bound;
         rec.blocks = value->blocks;
         if (options.emit_schedules && value->schedule) {
-          std::ostringstream ss;
-          io::write_schedule(ss, cache::decanonicalize_schedule(
-                                     *value->schedule, work.form.scale));
-          rec.schedule_text = ss.str();
+          io::append_schedule(rec.schedule_text, *value->schedule,
+                              work.form.scale);
         }
         bump_ok_counters(scratch, rec);
         served = true;
@@ -250,15 +245,11 @@ std::string process_cached(CachedWork& work, std::size_t index,
         // through this record's own scaling. The canonical schedule is the
         // source schedule with every share divided by form.scale (exactly —
         // see tests/test_canonical.cpp), so makespan and block structure
-        // carry over unchanged.
+        // carry over unchanged, and the text is written once with the shares
+        // multiplied back.
         solve_record_fields(work.form.instance(), options,
-                            work.record.deadline_steps, scratch, rec);
-        if (options.emit_schedules) {
-          std::ostringstream ss;
-          io::write_schedule(ss, cache::decanonicalize_schedule(
-                                     scratch.schedule, work.form.scale));
-          rec.schedule_text = ss.str();
-        }
+                            work.record.deadline_steps, scratch, rec,
+                            work.form.scale);
         cache::CacheValue value;
         value.makespan = rec.makespan;
         value.lower_bound = rec.lower_bound;

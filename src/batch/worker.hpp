@@ -85,11 +85,14 @@ void bump_ok_counters(WorkerScratch& scratch, const ResultRecord& rec);
 /// success fields of `rec` — the one definition of what an "ok" record
 /// looks like, shared by the uncached path, the cache-producer path, and
 /// the abandoned-entry fallback. `deadline_steps` is the record's own
-/// budget (0 = fall back to options.default_deadline_steps).
+/// budget (0 = fall back to options.default_deadline_steps). With
+/// options.emit_schedules the schedule text is written once, every share
+/// multiplied by `scale`: the cache producer solves the canonical twin and
+/// passes the record's form.scale.
 void solve_record_fields(const core::Instance& inst,
                          const WorkOptions& options,
                          std::uint64_t deadline_steps, WorkerScratch& scratch,
-                         ResultRecord& rec);
+                         ResultRecord& rec, core::Res scale = 1);
 
 /// Process one input line into its formatted result line. Record-level
 /// problems (parse errors, invalid instances, overflow, deadline expiry,

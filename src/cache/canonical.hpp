@@ -109,7 +109,9 @@ struct CanonicalForm {
 /// primary-axis scale). Job ids are untouched — the canonical job order IS
 /// the source's sorted order at every d (see the axis-reordering caveat in
 /// the file comment), so a canonical schedule indexes any instance of the
-/// class directly.
+/// class directly. The batch worker never builds this copy: it writes the
+/// scaled text directly with io::append_schedule, and the tests hold the two
+/// to the same bytes with this function as the reference.
 [[nodiscard]] core::Schedule decanonicalize_schedule(
     const core::Schedule& canonical, core::Res scale);
 

@@ -43,8 +43,8 @@ namespace sharedres::cache {
 /// What a producer publishes for its canonical instance. makespan and block
 /// count are invariant across the whole equivalence class; the schedule
 /// (canonical shares) is stored only when the consumer needs it
-/// (emit-schedules runs) and scales back per record via
-/// decanonicalize_schedule.
+/// (emit-schedules runs) and each record writes it with its own scale
+/// folded in (io::append_schedule).
 struct CacheValue {
   core::Time makespan = 0;
   /// Eq. (1) combined lower bound. Cached because it is invariant across the

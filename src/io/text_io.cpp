@@ -1,12 +1,14 @@
 #include "io/text_io.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <fstream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "obs/registry.hpp"
+#include "util/checked.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 
@@ -117,6 +119,13 @@ class Reader {
   int line_no_ = 0;
 };
 
+/// Decimal text of `value`, as `std::ostream <<` prints it.
+template <typename Int>
+void append_number(std::string& out, Int value) {
+  char buf[24];  // a 64-bit decimal has at most 20 characters
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
 }  // namespace
 
 void write_instance(std::ostream& os, const core::Instance& instance) {
@@ -207,16 +216,36 @@ core::Instance read_instance(std::istream& is) {
 }
 
 void write_schedule(std::ostream& os, const core::Schedule& schedule) {
-  SHAREDRES_OBS_COUNT("io.schedules_written");
-  os << "# sharedres schedule v1\n";
-  os << "blocks " << schedule.blocks().size() << "\n";
-  for (const core::Block& block : schedule.blocks()) {
-    os << "block " << block.length << " " << block.assignments.size();
-    for (const core::Assignment& a : block.assignments) {
-      os << " " << a.job << ":" << a.share;
+  std::string text;
+  append_schedule(text, schedule);
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
+}
+
+void append_schedule(std::string& out, const core::Schedule& schedule,
+                     core::Res scale) {
+  const std::size_t start = out.size();
+  try {
+    out += "# sharedres schedule v1\nblocks ";
+    append_number(out, schedule.blocks().size());
+    out += '\n';
+    for (const core::Block& block : schedule.blocks()) {
+      out += "block ";
+      append_number(out, block.length);
+      out += ' ';
+      append_number(out, block.assignments.size());
+      for (const core::Assignment& a : block.assignments) {
+        out += ' ';
+        append_number(out, a.job);
+        out += ':';
+        append_number(out, util::mul_checked(a.share, scale));
+      }
+      out += '\n';
     }
-    os << "\n";
+  } catch (const util::OverflowError&) {
+    out.resize(start);
+    throw;
   }
+  SHAREDRES_OBS_COUNT("io.schedules_written");
 }
 
 core::Schedule read_schedule(std::istream& is) {

@@ -57,6 +57,14 @@ void write_instance(std::ostream& os, const core::Instance& instance);
 void write_schedule(std::ostream& os, const core::Schedule& schedule);
 [[nodiscard]] core::Schedule read_schedule(std::istream& is);
 
+/// Append the write_schedule text of `schedule` to `out`, multiplying every
+/// share by `scale` (checked) as it is written: the bytes equal
+/// write_schedule(cache::decanonicalize_schedule(schedule, scale)) without
+/// building the scaled copy. Throws util::OverflowError when a scaled share
+/// leaves 64 bits, with `out` left as it was.
+void append_schedule(std::string& out, const core::Schedule& schedule,
+                     core::Res scale = 1);
+
 void write_sas(std::ostream& os, const sas::SasInstance& instance);
 [[nodiscard]] sas::SasInstance read_sas(std::istream& is);
 

@@ -1,8 +1,10 @@
 #include "util/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <type_traits>
 
 namespace sharedres::util {
 
@@ -29,29 +31,6 @@ void expect_type(Json::Type have, Json::Type want) {
   }
 }
 
-void dump_string(const std::string& s, std::string& out) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;  // UTF-8 bytes pass through unescaped
-        }
-    }
-  }
-  out += '"';
-}
-
 void dump_number(double v, std::string& out) {
   if (!std::isfinite(v)) fail("Json: cannot serialize NaN/Inf");
   // Integral values within the exact-double range print without a fraction
@@ -74,6 +53,21 @@ void dump_number(double v, std::string& out) {
     }
   }
   out += buf;
+}
+
+template <typename Int>
+void append_int(std::string& out, Int v) {
+  // Json holds every number as a double, so beyond 2^53 an integer prints
+  // as the double it rounds to.
+  constexpr Int kExact = Int{1} << 53;
+  bool exact = v < kExact;
+  if constexpr (std::is_signed_v<Int>) exact = exact && v > -kExact;
+  if (!exact) {
+    dump_number(static_cast<double>(v), out);
+    return;
+  }
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 class Parser {
@@ -273,7 +267,7 @@ void dump_value(const Json& v, int indent, int depth, std::string& out) {
     case Json::Type::kNull: out += "null"; return;
     case Json::Type::kBool: out += v.as_bool() ? "true" : "false"; return;
     case Json::Type::kNumber: dump_number(v.as_double(), out); return;
-    case Json::Type::kString: dump_string(v.as_string(), out); return;
+    case Json::Type::kString: append_json_string(out, v.as_string()); return;
     case Json::Type::kArray: {
       const auto& arr = v.as_array();
       if (arr.empty()) {
@@ -300,7 +294,7 @@ void dump_value(const Json& v, int indent, int depth, std::string& out) {
       for (std::size_t i = 0; i < obj.size(); ++i) {
         if (i != 0) out += ',';
         newline_indent(indent, depth + 1, out);
-        dump_string(obj[i].first, out);
+        append_json_string(out, obj[i].first);
         out += indent < 0 ? ":" : ": ";
         dump_value(obj[i].second, indent, depth + 1, out);
       }
@@ -312,6 +306,36 @@ void dump_value(const Json& v, int indent, int depth, std::string& out) {
 }
 
 }  // namespace
+
+void append_json_string(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out += '"';
+  const char* run = s.data();
+  const char* const end = s.data() + s.size();
+  for (const char* p = run; p != end; ++p) {
+    const auto c = static_cast<unsigned char>(*p);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(run, p);
+    run = p + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(escape, sizeof(escape));
+      }
+    }
+  }
+  out.append(run, end);  // UTF-8 bytes pass through unescaped
+  out += '"';
+}
+
+void append_json_int(std::string& out, std::int64_t v) { append_int(out, v); }
+
+void append_json_int(std::string& out, std::uint64_t v) { append_int(out, v); }
 
 bool Json::as_bool() const {
   expect_type(type_, Type::kBool);

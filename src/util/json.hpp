@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -100,5 +101,15 @@ class Json {
   Array arr_;
   Object obj_;
 };
+
+/// The text Json::dump writes for a string and for an integer, appended to
+/// `out` without building a Json value; writers that assemble a line field
+/// by field use these. Strings escape `"`, `\`, \n, \r and \t by name and
+/// other bytes below 0x20 as \u00xx; every other byte (UTF-8 included) is
+/// copied, whole runs at a time. Integers print their digits within the
+/// exact-double range (|v| < 2^53) and the rounded double's text beyond it.
+void append_json_string(std::string& out, std::string_view s);
+void append_json_int(std::string& out, std::int64_t v);
+void append_json_int(std::string& out, std::uint64_t v);
 
 }  // namespace sharedres::util

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -23,6 +24,7 @@
 #include "core/unit_engine.hpp"
 #include "core/validator.hpp"
 #include "io/text_io.hpp"
+#include "result_record_reference.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "workloads/sos_generators.hpp"
@@ -142,6 +144,70 @@ TEST(BatchStream, ResultRecordFormatsOkAndErrorShapes) {
   EXPECT_EQ(bad_doc.at("error").at("code").as_string(), "parse");
   EXPECT_EQ(bad_doc.at("error").at("message").as_string(), "boom");
   EXPECT_FALSE(bad_doc.contains("makespan"));
+}
+
+TEST(BatchStream, ResultRecordMatchesJsonDomReference) {
+  using reference::dom_result_record;
+  const std::vector<std::string> texts = {
+      "",
+      "plain-7",
+      "quote\"d",
+      "back\\slash",
+      "two\nlines\n",
+      "cr\rtab\t",
+      std::string("ctl\x01 and \x1f"),
+      std::string("nul\0inside", 10),
+      "\x7f del",
+      "utf-8 \xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80",
+      "# sharedres schedule v1\nblocks 1\nblock 3 2 0:40 1:25\n",
+  };
+  constexpr std::int64_t kExact = std::int64_t{1} << 53;
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::vector<std::int64_t> values = {
+      0, 1, -kExact + 1, -kExact, kExact - 1, kExact, kExact + 1, kMax};
+  for (const std::string& text : texts) {
+    ResultRecord bad;
+    bad.index = 4;
+    bad.id = text;
+    bad.error_code = text;
+    bad.error_message = text;
+    EXPECT_EQ(format_result_record(bad), dom_result_record(bad)) << text;
+
+    for (const std::int64_t v : values) {
+      ResultRecord ok;
+      ok.index = static_cast<std::size_t>(v < 0 ? -v : v);
+      ok.id = text;
+      ok.ok = true;
+      ok.algorithm = text;
+      ok.machines = static_cast<int>(v % 100'000);
+      ok.jobs = static_cast<std::size_t>(v < 0 ? -v : v);
+      ok.makespan = v;
+      ok.lower_bound = v;
+      ok.blocks = ok.jobs;
+      ok.schedule_text = text;
+      EXPECT_EQ(format_result_record(ok), dom_result_record(ok))
+          << text << " / " << v;
+    }
+  }
+
+  // What util::Json prints, and therefore the result line too: integers
+  // below 2^53 as their digits; at and above it the double the value rounds
+  // to, in the shortest text that reads back to that double — which is
+  // exponent form once it needs fewer digits than the integer has.
+  ResultRecord big;
+  big.ok = true;
+  big.algorithm = "window";
+  big.makespan = kExact + 1;
+  big.lower_bound = kMax;
+  big.index = std::numeric_limits<std::size_t>::max();
+  const std::string line = format_result_record(big);
+  EXPECT_NE(line.find("\"index\":1.8446744073709552e+19"), std::string::npos)
+      << line;
+  EXPECT_NE(line.find("\"makespan\":9007199254740992"), std::string::npos)
+      << line;
+  EXPECT_NE(line.find("\"lower_bound\":9.223372036854776e+18"),
+            std::string::npos)
+      << line;
 }
 
 // ---- pipeline --------------------------------------------------------------

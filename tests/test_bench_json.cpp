@@ -3,7 +3,9 @@
 // scripts/check_bench_regression.py.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -48,6 +50,48 @@ TEST(Json, IntegralNumbersPrintWithoutFraction) {
   doc.emplace("n", 12345);
   EXPECT_EQ(doc.dump(), "{\"n\":12345}");
   EXPECT_EQ(Json(0.5).dump(), "0.5");
+}
+
+TEST(Json, StringEscapesArePinned) {
+  // `"`, `\`, \n, \r and \t by name, other bytes below 0x20 as \u00xx,
+  // everything else (DEL, UTF-8) verbatim — in Json::dump and in
+  // append_json_string alike.
+  const std::string text = std::string("q\" b\\ n\n r\r t\t c") + '\x01' +
+                           '\x1f' + '\0' + "\x7f \xc3\xa9";
+  const std::string want =
+      "\"q\\\" b\\\\ n\\n r\\r t\\t c\\u0001\\u001f\\u0000\x7f \xc3\xa9\"";
+  EXPECT_EQ(Json(text).dump(), want);
+  std::string appended = "prefix:";
+  util::append_json_string(appended, text);
+  EXPECT_EQ(appended, "prefix:" + want);
+
+  for (int b = 0; b < 256; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    EXPECT_EQ(Json::parse(Json(one).dump()).as_string(), one) << b;
+  }
+}
+
+TEST(Json, AppendJsonIntMatchesDump) {
+  constexpr std::int64_t kExact = std::int64_t{1} << 53;
+  for (const std::int64_t v :
+       {std::int64_t{0}, std::int64_t{-1}, kExact - 1, kExact, kExact + 1,
+        -kExact + 1, -kExact, -kExact - 1,
+        std::numeric_limits<std::int64_t>::max(),
+        std::numeric_limits<std::int64_t>::min()}) {
+    std::string text;
+    util::append_json_int(text, v);
+    EXPECT_EQ(text, Json(v).dump()) << v;
+  }
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{kExact - 1}, std::uint64_t{kExact},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    std::string text;
+    util::append_json_int(text, v);
+    EXPECT_EQ(text, Json(v).dump()) << v;
+  }
+  std::string text;
+  util::append_json_int(text, kExact - 1);
+  EXPECT_EQ(text, "9007199254740991");
 }
 
 TEST(Json, ParserRejectsMalformedInput) {

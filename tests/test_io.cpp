@@ -1,12 +1,23 @@
 // Serialization round-trips and parse-error reporting.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "baselines/baselines.hpp"
+#include "cache/canonical.hpp"
+#include "core/improved_scheduler.hpp"
+#include "core/multires_scheduler.hpp"
 #include "core/sos_scheduler.hpp"
 #include "core/validator.hpp"
 #include "io/text_io.hpp"
+#include "util/checked.hpp"
 #include "workloads/binpack_generators.hpp"
+#include "workloads/multires_generators.hpp"
 #include "workloads/sas_generators.hpp"
 #include "workloads/sos_generators.hpp"
 
@@ -34,6 +45,86 @@ TEST(TextIo, ScheduleRoundTripPreservesValidity) {
   const core::Schedule back = io::read_schedule(buffer);
   EXPECT_EQ(back, schedule);
   EXPECT_TRUE(core::validate(inst, back).ok);
+}
+
+/// The reference for append_schedule: build the scaled copy, then write it.
+/// nullopt when decanonicalize_schedule throws OverflowError.
+std::optional<std::string> reference_scaled_text(const core::Schedule& s,
+                                                 core::Res scale) {
+  core::Schedule scaled;
+  try {
+    scaled = cache::decanonicalize_schedule(s, scale);
+  } catch (const util::OverflowError&) {
+    return std::nullopt;
+  }
+  std::ostringstream os;
+  io::write_schedule(os, scaled);
+  return os.str();
+}
+
+TEST(TextIo, AppendScheduleEqualsWriteOfDecanonicalizedSchedule) {
+  const workloads::SosConfig cfg{
+      .machines = 4, .capacity = 1'000, .jobs = 30, .max_size = 3, .seed = 23};
+  const core::Instance general = workloads::bimodal_instance(cfg);
+  const core::Instance unit =
+      workloads::uniform_instance({.machines = 5, .capacity = 997, .jobs = 40,
+                                   .max_size = 1, .seed = 29});
+  const core::Instance two_axis = workloads::correlated_multires_instance(
+      {.machines = 4, .resources = 2, .capacity = 500, .jobs = 20,
+       .max_size = 2, .seed = 31});
+  const std::vector<std::pair<std::string, core::Schedule>> engines = {
+      {"window", core::schedule_sos(general)},
+      {"unit", core::schedule_sos_unit(unit)},
+      {"improved", core::schedule_improved(general)},
+      {"multires", core::schedule_multires(two_axis)},
+      {"gg", baselines::schedule_garey_graham(general)},
+      {"equalsplit", baselines::schedule_equal_split(general)},
+      {"sequential", baselines::schedule_sequential(general)},
+      {"empty", core::Schedule{}},
+  };
+  for (const auto& [engine, schedule] : engines) {
+    for (const core::Res scale : {core::Res{1}, core::Res{2}, core::Res{7},
+                                  core::Res{1} << 31}) {
+      const std::optional<std::string> want =
+          reference_scaled_text(schedule, scale);
+      ASSERT_TRUE(want.has_value()) << engine << " x" << scale;
+      std::string got = "kept prefix\n";
+      io::append_schedule(got, schedule, scale);
+      EXPECT_EQ(got, "kept prefix\n" + *want) << engine << " x" << scale;
+    }
+  }
+}
+
+TEST(TextIo, AppendScheduleOverflowsExactlyWhenDecanonicalizeDoes) {
+  constexpr core::Res kMax = std::numeric_limits<core::Res>::max();
+  constexpr core::Res kMin = std::numeric_limits<core::Res>::min();
+  for (const core::Res scale : {core::Res{1}, core::Res{2}, core::Res{7},
+                                core::Res{1} << 31}) {
+    // Shares on both sides of the 64-bit edge after scaling, in a later
+    // block so that a partial write would show.
+    std::vector<core::Res> shares = {kMax / scale, kMin / scale};
+    if (scale > 1) {
+      shares.push_back(kMax / scale + 1);
+      shares.push_back(kMin / scale - 1);
+    }
+    for (const core::Res big : shares) {
+      core::Schedule schedule;
+      schedule.append(2, {{0, 5}, {1, 9}});
+      schedule.append(1, {{1, big}});
+      const std::optional<std::string> want =
+          reference_scaled_text(schedule, scale);
+      std::string got = "kept";
+      bool threw = false;
+      try {
+        io::append_schedule(got, schedule, scale);
+      } catch (const util::OverflowError&) {
+        threw = true;
+      }
+      EXPECT_EQ(threw, !want.has_value()) << big << " x" << scale;
+      const std::string expected = want && !threw ? "kept" + *want : "kept";
+      EXPECT_EQ(got, expected) << big << " x" << scale;
+    }
+  }
 }
 
 TEST(TextIo, SasRoundTrip) {

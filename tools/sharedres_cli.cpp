@@ -312,6 +312,12 @@ int cmd_batch(const util::Cli& cli) {
     std::istringstream in(slurp_instance_dir(dir));
     summary = batch::run_batch(in, out, options);
   } else if (in_path == "-") {
+    // Synchronized with C stdio, std::cin takes one character per call and
+    // a piped stream cost several times a file stream; unsynchronized it
+    // reads through its own buffer. Untied, because the reader thread must
+    // not flush std::cout, which the emitter writes from the workers.
+    std::ios::sync_with_stdio(false);
+    std::cin.tie(nullptr);
     summary = batch::run_batch(std::cin, out, options);
   } else {
     std::ifstream in(in_path);
