@@ -15,6 +15,13 @@
 //     with the recorded scale, is a feasible schedule for the source instance
 //     with the same makespan as solving the source directly.
 //
+// A second instance of up to 512 jobs is decoded from the same bytes, with
+// value widths taken from the last five: wide enough to reach the 64-bit
+// key limit, narrow enough for many full (r, p) ties. Its canonical order
+// must equal the comparator stable-sort reference
+// (tests/canonical_order_reference.hpp), so the constructor's radix path and
+// its wide-key fallback run too; and it must canonicalize idempotently.
+//
 // The input is valid by construction, so NO exception may escape: a throw or
 // any property violation aborts — that is the crash libFuzzer (or a corpus
 // replay) reports.
@@ -23,6 +30,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "../tests/canonical_order_reference.hpp"
 #include "cache/canonical.hpp"
 #include "core/instance.hpp"
 #include "core/sos_scheduler.hpp"
@@ -30,17 +38,44 @@
 
 namespace {
 
+namespace core = sharedres::core;
+namespace cache = sharedres::cache;
+
 [[noreturn]] void die(const char* what) {
   std::fprintf(stderr, "fuzz_canonical: %s\n", what);
   std::abort();
+}
+
+/// Up to 512 jobs read cyclically from the input; the last five bytes set
+/// the count and the widths. Most jobs get r and p of at most 8 bits; one
+/// job's r reaches 2^60 and another's p 2^51, which keeps Σ p·r in range.
+std::vector<core::Job> large_jobs(const std::uint8_t* data, std::size_t size) {
+  const auto at = [&](std::size_t k) { return data[k % size]; };
+  const std::size_t n = (data[size - 1] | data[size - 2] << 8) % 513u;
+  const unsigned r_width = 1 + data[size - 3] % 61u;
+  const unsigned p_width = 1 + data[size - 4] % 52u;
+  const unsigned small_r = data[size - 5] % 9u;
+  const unsigned small_p = data[size - 5] / 9u % 9u;
+  std::vector<core::Job> jobs(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    jobs[j].requirement = 1 + (at(2 * j) & ((1 << small_r) - 1));
+    jobs[j].size = 1 + (at(2 * j + 1) & ((1 << small_p) - 1));
+  }
+  if (n >= 1) {
+    const std::size_t a = data[size - 1] * 7u % n;
+    jobs[a] = core::Job{1, jobs[a].requirement | core::Res{1} << (r_width - 1)};
+    if (n >= 2) {
+      const std::size_t b = (a + 1 + data[size - 2] % (n - 1)) % n;
+      jobs[b] = core::Job{jobs[b].size | core::Res{1} << (p_width - 1), 1};
+    }
+  }
+  return jobs;
 }
 
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
-  namespace core = sharedres::core;
-  namespace cache = sharedres::cache;
   if (size < 3) return 0;
 
   const int machines = 2 + data[0] % 4;
@@ -88,6 +123,24 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     std::fprintf(stderr, "fuzz_canonical: de-canonicalized schedule infeasible: %s\n",
                  check.error.c_str());
     std::abort();
+  }
+
+  if (size < 5) return 0;
+  const std::vector<core::Job> jobs_large = large_jobs(data, size);
+  const core::Instance large(machines, capacity, jobs_large);
+  const std::vector<std::size_t> order =
+      core::reference::canonical_order(jobs_large);
+  for (std::size_t j = 0; j < order.size(); ++j) {
+    if (large.original_id(j) != order[j]) {
+      die("canonical order differs from the stable-sort reference");
+    }
+    if (large.job(j) != jobs_large[order[j]]) {
+      die("sorted job differs from the reference order's job");
+    }
+  }
+  const cache::CanonicalForm large_form = cache::canonicalize(large);
+  if (cache::canonicalize(large_form.instance()).key != large_form.key) {
+    die("canonicalize is not idempotent on the large instance");
   }
   return 0;
 }

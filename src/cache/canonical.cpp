@@ -42,25 +42,20 @@ constexpr std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// One multiply-fold per word, splitmix64 avalanche at the end. The hash is
-/// only a filter — every hit verifies full key bytes — so one multiply of
-/// diffusion per word is enough, and it keeps the per-lookup cost near
-/// memory bandwidth. The rotate stops plain xor-cancellation between
-/// neighbouring words.
-std::uint64_t hash_lane(const std::vector<std::uint8_t>& bytes,
-                        std::uint64_t seed) {
-  std::uint64_t h = mix64(seed);
-  std::size_t i = 0;
-  for (; i + 8 <= bytes.size(); i += 8) {
-    h = std::rotl(h, 27) ^ ((read_u64(bytes.data() + i) ^ h) *
-                            0x9e3779b97f4a7c15ULL);
-  }
-  std::uint64_t tail = 0;
-  for (std::size_t b = 0; i < bytes.size(); ++i, ++b) {
-    tail |= static_cast<std::uint64_t>(bytes[i]) << (8 * b);
-  }
-  h = mix64(h ^ tail);
-  return mix64(h ^ static_cast<std::uint64_t>(bytes.size()));
+/// One lane's step per 8-byte word: one multiply-fold. The hash is only a
+/// filter — every hit verifies full key bytes — so one multiply of diffusion
+/// per word is enough, and it keeps the per-lookup cost near memory
+/// bandwidth. The rotate stops plain xor-cancellation between neighbouring
+/// words.
+constexpr std::uint64_t fold(std::uint64_t h, std::uint64_t word) {
+  return std::rotl(h, 27) ^ ((word ^ h) * 0x9e3779b97f4a7c15ULL);
+}
+
+/// A lane's end: the zero-padded tail word, then the byte length, each
+/// through a splitmix64 avalanche.
+constexpr std::uint64_t finish(std::uint64_t h, std::uint64_t tail,
+                               std::size_t size) {
+  return mix64(mix64(h ^ tail) ^ static_cast<std::uint64_t>(size));
 }
 
 /// True iff two sorted jobs tie on (r_0, p) while differing on a secondary
@@ -85,8 +80,22 @@ bool has_secondary_ties(const core::Instance& instance) {
 }  // namespace
 
 Hash128 hash_bytes(const std::vector<std::uint8_t>& bytes) {
-  return Hash128{hash_lane(bytes, 0x5361526573436163ULL),
-                 hash_lane(bytes, 0x436e6f6e6963616cULL)};
+  // Both lanes in one pass over the bytes: the same values as hashing each
+  // lane on its own, with the two multiply chains interleaved.
+  std::uint64_t lo = mix64(0x5361526573436163ULL);
+  std::uint64_t hi = mix64(0x436e6f6e6963616cULL);
+  const std::size_t size = bytes.size();
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    const std::uint64_t word = read_u64(bytes.data() + i);
+    lo = fold(lo, word);
+    hi = fold(hi, word);
+  }
+  std::uint64_t tail = 0;
+  for (std::size_t b = 0; i < size; ++i, ++b) {
+    tail |= static_cast<std::uint64_t>(bytes[i]) << (8 * b);
+  }
+  return Hash128{finish(lo, tail, size), finish(hi, tail, size)};
 }
 
 CanonicalForm canonicalize(const core::Instance& instance) {
@@ -95,11 +104,13 @@ CanonicalForm canonicalize(const core::Instance& instance) {
 
   // Per-axis g_k = gcd(C_k, r_{1,k}, …, r_{n,k}); with no jobs this is C_k
   // itself, so the empty instance normalizes to capacity 1 on every axis.
+  // The scan stops once g reaches 1: gcd(1, x) = 1, so the rest cannot
+  // change it.
   std::vector<core::Res> scales(d);
   for (std::size_t k = 0; k < d; ++k) {
     core::Res g = instance.capacity(k);
     const core::Res* reqs = instance.axis_requirements(k);
-    for (std::size_t j = 0; j < n; ++j) g = std::gcd(g, reqs[j]);
+    for (std::size_t j = 0; j < n && g != 1; ++j) g = std::gcd(g, reqs[j]);
     scales[k] = g;
   }
 
@@ -150,13 +161,32 @@ CanonicalForm canonicalize(const core::Instance& instance) {
   }
   put_u64(out, static_cast<std::uint64_t>(n));
   out += 8;
-  for (std::size_t j = 0; j < n; ++j) {
-    put_u64(out, static_cast<std::uint64_t>(instance.job(j).size));
-    out += 8;
-    for (std::size_t k = 0; k < d; ++k) {
-      put_u64(out, static_cast<std::uint64_t>(
-                       instance.requirement(j, order[k]) / scales[order[k]]));
+  const core::Res* sizes = instance.sizes().data();
+  if (d == 1) {
+    // The common case, read straight from the SoA arrays; at scale 1 (every
+    // already-reduced instance) there is nothing to divide.
+    const core::Res* reqs = instance.requirements().data();
+    const core::Res g = scales[0];
+    if (g == 1) {
+      for (std::size_t j = 0; j < n; ++j, out += 16) {
+        put_u64(out, static_cast<std::uint64_t>(sizes[j]));
+        put_u64(out + 8, static_cast<std::uint64_t>(reqs[j]));
+      }
+    } else {
+      for (std::size_t j = 0; j < n; ++j, out += 16) {
+        put_u64(out, static_cast<std::uint64_t>(sizes[j]));
+        put_u64(out + 8, static_cast<std::uint64_t>(reqs[j] / g));
+      }
+    }
+  } else {
+    for (std::size_t j = 0; j < n; ++j) {
+      put_u64(out, static_cast<std::uint64_t>(sizes[j]));
       out += 8;
+      for (std::size_t k = 0; k < d; ++k) {
+        put_u64(out, static_cast<std::uint64_t>(
+                         instance.requirement(j, order[k]) / scales[order[k]]));
+        out += 8;
+      }
     }
   }
   form.hash = hash_bytes(form.key);
@@ -164,9 +194,9 @@ CanonicalForm canonicalize(const core::Instance& instance) {
 }
 
 core::Instance CanonicalForm::instance() const {
-  // Inverse of the serializer above; the Instance constructor's sort is the
-  // identity permutation on a decoded key (the jobs were serialized in
-  // canonical order), so this is a straight O(n·d) rebuild plus validation.
+  // Inverse of the serializer above. The jobs were serialized in canonical
+  // order, so the Instance constructor finds them sorted and skips its sort:
+  // this is a straight O(n·d) rebuild plus validation.
   const std::uint8_t* in = key.data();
   const std::size_t d = key[1];
   const auto machines = static_cast<int>(read_u64(in + 2));

@@ -1,5 +1,6 @@
 #include "cache/solve_cache.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <list>
@@ -32,6 +33,9 @@ namespace {
 
 using detail::Entry;
 
+/// A shard's recency order; front = least recently used.
+using Lru = std::list<std::shared_ptr<Entry>>;
+
 /// Resident-footprint estimate used for the bytes gauge: the serialized key
 /// plus the fixed per-entry overhead. Value bytes are accounted separately
 /// at fill() time (a monotone counter), because values arrive on worker
@@ -56,11 +60,13 @@ std::uint64_t value_bytes(const CacheValue& value) {
 struct SolveCache::Impl {
   struct Shard {
     std::mutex mutex;
-    /// hash.lo → entries whose hash collides in the fast lane; the scan
-    /// verifies the full 128-bit hash and then the key bytes.
-    std::unordered_map<std::uint64_t, std::vector<std::shared_ptr<Entry>>> map;
-    /// Front = least recently used.
-    std::list<std::shared_ptr<Entry>> lru;
+    /// hash.lo → the LRU positions of the entries whose hash collides in the
+    /// fast lane; the scan verifies the full 128-bit hash and then the key
+    /// bytes. Holding the position here makes a hit's LRU refresh one
+    /// splice, and keeps it out of Entry, whose size the resident-bytes
+    /// gauge counts.
+    std::unordered_map<std::uint64_t, std::vector<Lru::iterator>> map;
+    Lru lru;
     std::size_t capacity = 1;
   };
 
@@ -97,16 +103,12 @@ SolveCache::Handle SolveCache::acquire(const CanonicalForm& form) {
   const std::lock_guard<std::mutex> lock(shard.mutex);
 
   auto& bucket = shard.map[form.hash.lo];
-  for (const std::shared_ptr<Entry>& entry : bucket) {
+  for (const Lru::iterator pos : bucket) {
+    const std::shared_ptr<Entry>& entry = *pos;
     if (entry->hash == form.hash && entry->key == form.key) {
       // Hit (any state — pending coalesces, abandoned short-circuits to the
       // local-solve fallback). Refresh LRU position.
-      for (auto it = shard.lru.begin(); it != shard.lru.end(); ++it) {
-        if (it->get() == entry.get()) {
-          shard.lru.splice(shard.lru.end(), shard.lru, it);
-          break;
-        }
-      }
+      shard.lru.splice(shard.lru.end(), shard.lru, pos);
       impl_->hits.fetch_add(1, std::memory_order_relaxed);
       return Handle(entry, /*hit=*/true, this);
     }
@@ -115,34 +117,27 @@ SolveCache::Handle SolveCache::acquire(const CanonicalForm& form) {
   auto entry = std::make_shared<Entry>();
   entry->key = form.key;
   entry->hash = form.hash;
-  bucket.push_back(entry);
-  shard.lru.push_back(entry);
+  bucket.push_back(shard.lru.insert(shard.lru.end(), entry));
   impl_->misses.fetch_add(1, std::memory_order_relaxed);
   impl_->resident_bytes.fetch_add(entry_bytes(*entry),
                                   std::memory_order_relaxed);
   impl_->resident_entries.fetch_add(1, std::memory_order_relaxed);
 
   while (shard.lru.size() > shard.capacity) {
-    const std::shared_ptr<Entry> victim = shard.lru.front();
-    shard.lru.pop_front();
-    auto victim_bucket = shard.map.find(victim->hash.lo);
-    if (victim_bucket != shard.map.end()) {
-      auto& entries = victim_bucket->second;
-      for (auto it = entries.begin(); it != entries.end(); ++it) {
-        if (it->get() == victim.get()) {
-          entries.erase(it);
-          break;
-        }
-      }
-      if (entries.empty()) shard.map.erase(victim_bucket);
-    }
+    // Every resident entry's position is in its bucket.
+    const Lru::iterator victim = shard.lru.begin();
+    const auto victim_bucket = shard.map.find((*victim)->hash.lo);
+    auto& positions = victim_bucket->second;
+    positions.erase(std::find(positions.begin(), positions.end(), victim));
+    if (positions.empty()) shard.map.erase(victim_bucket);
     impl_->evictions.fetch_add(1, std::memory_order_relaxed);
-    impl_->resident_bytes.fetch_sub(entry_bytes(*victim),
+    impl_->resident_bytes.fetch_sub(entry_bytes(**victim),
                                     std::memory_order_relaxed);
     impl_->resident_entries.fetch_sub(1, std::memory_order_relaxed);
     // In-flight handles still pin the victim via shared_ptr: a pending
     // producer fills it and its waiters are served, it just is not findable
     // for later acquires.
+    shard.lru.pop_front();
   }
 
   return Handle(entry, /*hit=*/false, this);

@@ -1,17 +1,106 @@
 #include "core/instance.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "util/error.hpp"
 
 namespace sharedres::core {
 
+namespace {
+
+/// Up to this many jobs the packed keys are sorted with std::sort; above it
+/// with the byte radix below. Chosen by measurement: on 24–64-job requests
+/// the radix's fixed histogram work made Instance construction ~20% slower,
+/// while at 400 jobs it sorts in about a quarter of std::sort's time.
+constexpr std::size_t kComparisonSortMaxJobs = 64;
+
+unsigned bit_width(std::uint64_t v) {
+  return static_cast<unsigned>(std::bit_width(v));
+}
+
+/// The canonical (r, p) comparator.
+bool canonical_less(const Job& a, const Job& b) {
+  if (a.requirement != b.requirement) return a.requirement < b.requirement;
+  return a.size < b.size;
+}
+
+/// The order as defined: an index stable sort with the (r, p) comparator.
+/// Used when packed keys would not fit in 64 bits.
+void comparator_order(const std::vector<Job>& jobs,
+                      std::vector<std::size_t>& order) {
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return canonical_less(jobs[a], jobs[b]);
+                   });
+}
+
+/// LSD radix sort of `keys` on their low `bytes` bytes, one pass per byte.
+/// A byte that is equal in every key moves nothing, so its pass is skipped.
+void radix_sort(std::vector<std::uint64_t>& keys, unsigned bytes) {
+  const std::size_t n = keys.size();
+  std::array<std::array<std::size_t, 256>, 8> counts{};
+  for (const std::uint64_t key : keys) {
+    for (unsigned b = 0; b < bytes; ++b) ++counts[b][(key >> (8 * b)) & 0xff];
+  }
+  std::vector<std::uint64_t> buffer(n);
+  for (unsigned b = 0; b < bytes; ++b) {
+    std::array<std::size_t, 256>& slot = counts[b];
+    if (slot[(keys[0] >> (8 * b)) & 0xff] == n) continue;
+    std::size_t next = 0;
+    for (std::size_t& c : slot) next += std::exchange(c, next);
+    for (const std::uint64_t key : keys) {
+      buffer[slot[(key >> (8 * b)) & 0xff]++] = key;
+    }
+    keys.swap(buffer);
+  }
+}
+
+/// The canonical order through packed keys (r << (bp+bi)) | (p << bi) | j,
+/// where bp, bi and the width of r are the bit widths of the largest p, of
+/// n - 1 and of the largest r. The index makes every key unique, so any sort
+/// of the keys is exactly the stable order. `r_bits` and `p_bits` are the OR
+/// of all r and of all p (same bit width as the maxima). Requires n ≥ 2.
+/// Returns false, leaving `order` untouched, when a key would need more than
+/// 64 bits.
+bool packed_order(const std::vector<Job>& jobs, std::uint64_t r_bits,
+                  std::uint64_t p_bits, std::vector<std::size_t>& order) {
+  const std::size_t n = jobs.size();
+  const unsigned bi = bit_width(n - 1);
+  const unsigned bp = bit_width(p_bits);
+  const unsigned width = bit_width(r_bits) + bp + bi;
+  if (width > 64) return false;
+  std::vector<std::uint64_t> keys(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    keys[j] = (static_cast<std::uint64_t>(jobs[j].requirement) << (bp + bi)) |
+              (static_cast<std::uint64_t>(jobs[j].size) << bi) | j;
+  }
+  if (n <= kComparisonSortMaxJobs) {
+    std::sort(keys.begin(), keys.end());
+  } else {
+    radix_sort(keys, (width + 7) / 8);
+  }
+  const std::uint64_t index_mask = (std::uint64_t{1} << bi) - 1;
+  for (std::size_t j = 0; j < n; ++j) {
+    order[j] = static_cast<std::size_t>(keys[j] & index_mask);
+  }
+  return true;
+}
+
+}  // namespace
+
 Instance::Instance(int machines, Res capacity, std::vector<Job> jobs)
     : machines_(machines), capacity_(capacity), jobs_(std::move(jobs)) {
   if (machines_ < 1) throw util::Error::invalid_instance("machines < 1");
   if (capacity_ < 1) throw util::Error::invalid_instance("capacity < 1");
+  std::uint64_t r_bits = 0;
+  std::uint64_t p_bits = 0;
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
     if (jobs_[j].size < 1) {
       throw util::Error::invalid_instance("job " + std::to_string(j) +
@@ -21,6 +110,8 @@ Instance::Instance(int machines, Res capacity, std::vector<Job> jobs)
       throw util::Error::invalid_instance("job " + std::to_string(j) +
                                           ": requirement < 1");
     }
+    r_bits |= static_cast<std::uint64_t>(jobs_[j].requirement);
+    p_bits |= static_cast<std::uint64_t>(jobs_[j].size);
   }
 
   // Stable sort by the canonical total order (requirement, then size): two
@@ -28,20 +119,21 @@ Instance::Instance(int machines, Res capacity, std::vector<Job> jobs)
   // so every engine sees permutation-equivalent inputs identically — the
   // invariance the solve cache (src/cache) keys on. Full (r, p) ties are
   // interchangeable jobs; keeping the caller's relative order among them
-  // makes generator output (and therefore experiments) deterministic.
+  // makes generator output (and therefore experiments) deterministic. How
+  // the order is computed is in the class comment (instance.hpp).
   original_.resize(jobs_.size());
-  std::iota(original_.begin(), original_.end(), std::size_t{0});
-  std::stable_sort(original_.begin(), original_.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     if (jobs_[a].requirement != jobs_[b].requirement) {
-                       return jobs_[a].requirement < jobs_[b].requirement;
-                     }
-                     return jobs_[a].size < jobs_[b].size;
-                   });
-  std::vector<Job> sorted;
-  sorted.reserve(jobs_.size());
-  for (const std::size_t idx : original_) sorted.push_back(jobs_[idx]);
-  jobs_ = std::move(sorted);
+  // Every decoded canonical form (cache::CanonicalForm) is already in order.
+  if (std::is_sorted(jobs_.begin(), jobs_.end(), canonical_less)) {
+    std::iota(original_.begin(), original_.end(), std::size_t{0});
+  } else {
+    if (!packed_order(jobs_, r_bits, p_bits, original_)) {
+      comparator_order(jobs_, original_);
+    }
+    std::vector<Job> sorted;
+    sorted.reserve(jobs_.size());
+    for (const std::size_t idx : original_) sorted.push_back(jobs_[idx]);
+    jobs_ = std::move(sorted);
+  }
 
   build_primary_arrays();
   capacities_ = {capacity_};

@@ -33,6 +33,17 @@ struct MultiJob {
 /// order (and the whole layout) is bit-compatible with the historical
 /// 1-resource instance.
 ///
+/// The classic constructor computes that order in linear time. Input that is
+/// already in order (every decoded canonical form is) is kept as it is.
+/// Otherwise each job becomes one u64 key (r << (bp+bi)) | (p << bi) | index,
+/// with bp and bi the bit widths of the largest p and of n - 1; the index
+/// makes keys unique, so sorting them gives exactly the stable order. Up to
+/// 64 jobs std::sort orders the keys, above that an LSD radix over the bytes
+/// the keys use (a byte equal in every key is skipped). Keys wider than 64
+/// bits (r or p near 2^62) fall back to an index std::stable_sort with the
+/// (r, p) comparator, which is also the tests' reference. The d-resource
+/// constructor always uses its comparator sort.
+///
 /// `capacity()` is the per-step budget C of the primary resource in integer
 /// units; a job requirement of r units corresponds to the paper's
 /// r_j = r / C, so requirements above C model jobs that can never run at

@@ -107,12 +107,65 @@ TEST(Canonical, HashIsStableAcrossProcessRuns) {
   // Pinned values: the key layout and mixing constants are part of the
   // format (kKeyFormatVersion). If this test fails you changed the hash —
   // bump the version byte and regenerate these constants deliberately.
+  // hash.hi also picks the cache shard, so a changed value changes which
+  // entries evict each other and every cache.* counter.
   const CanonicalForm form =
       canonicalize(Instance(3, 10, {Job{2, 4}, Job{1, 6}}));
   const Hash128 again = cache::hash_bytes(form.key);
   EXPECT_EQ(form.hash, again);
+  EXPECT_EQ(form.hash,
+            (Hash128{0x0c1a59d18bd1cfcdULL, 0x54d55859d2eed3d9ULL}));
   const CanonicalForm empty = canonicalize(Instance(2, 5, {}));
   EXPECT_EQ(canonicalize(Instance(2, 35, {})).hash, empty.hash);
+  EXPECT_EQ(empty.hash,
+            (Hash128{0xc9518138e275d179ULL, 0x14017eec332d972dULL}));
+
+  // 100 jobs with a common factor 3: the reduced d = 1 key path.
+  std::vector<Job> hundred;
+  for (Res j = 0; j < 100; ++j) {
+    hundred.push_back(Job{1 + j % 5, 3 * (1 + (j * 7) % 11)});
+  }
+  const CanonicalForm reduced = canonicalize(Instance(4, 30, hundred));
+  EXPECT_EQ(reduced.scale, 3);
+  EXPECT_EQ(reduced.hash,
+            (Hash128{0xe30c4e6728413c2dULL, 0x51756f070ad5f74aULL}));
+  const CanonicalForm two_axis = canonicalize(
+      Instance(3, std::vector<Res>{10, 6},
+               {core::MultiJob{2, {4, 3}}, core::MultiJob{1, {6, 2}},
+                core::MultiJob{3, {2, 4}}}));
+  EXPECT_EQ(two_axis.hash,
+            (Hash128{0x3c81b3008b41547cULL, 0x7d086d9f6497b730ULL}));
+}
+
+TEST(Canonical, HashBytesIsPinnedForEveryTailLength) {
+  // Lengths 0–17 cover two full words and every tail length 0–7. Byte k of
+  // each input is 29k + 7 (mod 256).
+  const Hash128 pinned[] = {
+      {0x3c058032217bb558ULL, 0xe143e5859dfa6f0dULL},
+      {0xe619c1565772450bULL, 0xb85d18a7202c0198ULL},
+      {0x3af3fd1c4073a2ffULL, 0xc2da591539a3f049ULL},
+      {0x1449d1e042f27e0fULL, 0x108362fb9e702729ULL},
+      {0x0e742dcdba43dba0ULL, 0xf24c3a8c53b70e54ULL},
+      {0xcd929e5b1b72fe5cULL, 0x44575a11db982b4cULL},
+      {0x38e94fdff46f541aULL, 0xd397a75452cd447aULL},
+      {0xb11299064503ee0bULL, 0x623e918fa7d6e3a7ULL},
+      {0x006f686c18bdb32bULL, 0x24f14673fbd8fa8dULL},
+      {0x5f239e87aa196f18ULL, 0x73b74ec93482073eULL},
+      {0xf12f7069dc673410ULL, 0x60edccfd7cd31045ULL},
+      {0x79e68c32d27ecfcfULL, 0xcbfcc57a997bdc67ULL},
+      {0xc68147fdaacf4e28ULL, 0xbbbd27a8288c4bccULL},
+      {0x7adecddfc084d8c7ULL, 0xe6648ff2bc8a0a4fULL},
+      {0x32bf81a5fab81239ULL, 0x41c408dd9fb7f81bULL},
+      {0x48f8893ef4369443ULL, 0x3adf9cbef9cf3623ULL},
+      {0x2443e5dd1ebe3a0aULL, 0x07b887ff1cadc741ULL},
+      {0xcf6824db73540a71ULL, 0xf4935ecddcfde1bfULL},
+  };
+  std::vector<std::uint8_t> bytes;
+  for (const Hash128& expected : pinned) {
+    SCOPED_TRACE(::testing::Message() << "length " << bytes.size());
+    EXPECT_EQ(cache::hash_bytes(bytes), expected);
+    bytes.push_back(static_cast<std::uint8_t>(29 * bytes.size() + 7));
+  }
 }
 
 TEST(Canonical, PermutationInvariance_SeededGrids) {
@@ -435,6 +488,57 @@ TEST(SolveCacheTest, LruEvictsOldestAtCapacityTwo) {
   EXPECT_EQ(stats.evictions, 2u);  // forms[1] once, then forms[2] or 0
   EXPECT_EQ(stats.resident_entries, 2u);
   EXPECT_GT(stats.resident_bytes, 0);
+}
+
+TEST(SolveCacheTest, LruRefreshAtColdMiddleAndHotEndsAtCapacityEight) {
+  std::vector<CanonicalForm> forms;
+  for (int r = 1; r <= 11; ++r) {
+    forms.push_back(canonicalize(Instance(2, 13, {Job{1, r}})));
+  }
+  const auto hit = [&](SolveCache& cache, int k) {
+    return cache.acquire(forms[static_cast<std::size_t>(k)]).hit();
+  };
+  // Every key has the same length, so every entry has the same footprint.
+  SolveCache one(SolveCache::Config{1, 1});
+  EXPECT_FALSE(hit(one, 0));
+  const std::int64_t entry_bytes = one.stats().resident_bytes;
+#if defined(__x86_64__) && defined(__GLIBCXX__)
+  // sizeof(Entry) + a 42-byte key. The gauge is in every cache-on summary
+  // line, so Entry must not grow (an LRU position kept in Entry would).
+  EXPECT_EQ(entry_bytes, 242);
+#endif
+
+  SolveCache cache(SolveCache::Config{8, 1});
+  for (int k = 0; k < 8; ++k) EXPECT_FALSE(hit(cache, k));
+  // Cold end, middle, hot end. LRU order becomes 1 2 3 5 6 0 4 7.
+  EXPECT_TRUE(hit(cache, 0));
+  EXPECT_TRUE(hit(cache, 4));
+  EXPECT_TRUE(hit(cache, 7));
+  // Three inserts evict exactly 1, 2, 3: order 5 6 0 4 7 8 9 10.
+  for (int k = 8; k < 11; ++k) EXPECT_FALSE(hit(cache, k));
+  SolveCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 3u);
+  EXPECT_EQ(stats.hits, 3u);
+  EXPECT_EQ(stats.misses, 11u);
+  EXPECT_EQ(stats.resident_entries, 8u);
+  EXPECT_EQ(stats.resident_bytes, 8 * entry_bytes);
+
+  // Walking the survivors cold to hot hits every one without evicting.
+  for (const int k : {5, 6, 0, 4, 7, 8, 9, 10}) {
+    EXPECT_TRUE(hit(cache, k)) << "key " << k << " was evicted";
+  }
+  EXPECT_EQ(cache.stats().evictions, 3u);
+  // The evicted keys miss again; each re-insert evicts the coldest
+  // survivor (5, 6, 0).
+  for (const int k : {1, 2, 3}) {
+    EXPECT_FALSE(hit(cache, k)) << "key " << k << " stayed resident";
+  }
+  EXPECT_FALSE(hit(cache, 5));  // evicted by key 1, now evicts 4
+  EXPECT_TRUE(hit(cache, 7));
+  stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 7u);
+  EXPECT_EQ(stats.resident_entries, 8u);
+  EXPECT_EQ(stats.resident_bytes, 8 * entry_bytes);
 }
 
 TEST(SolveCacheTest, ShardCountClampedToCapacity) {

@@ -3,8 +3,13 @@
 // and the Eq. (1) lower bounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
 #include <string>
+#include <vector>
 
+#include "canonical_order_reference.hpp"
 #include "core/instance.hpp"
 #include "core/lower_bounds.hpp"
 #include "core/schedule.hpp"
@@ -17,6 +22,7 @@ namespace {
 using core::Assignment;
 using core::Instance;
 using core::Job;
+using core::Res;
 using core::Schedule;
 
 TEST(Instance, SortsByCanonicalTotalOrder) {
@@ -47,6 +53,106 @@ TEST(Instance, FullTiesKeepCallerOrderStably) {
   EXPECT_EQ(inst.original_id(0), 2u);  // (4,1) first
   EXPECT_EQ(inst.original_id(1), 0u);  // then the (4,2) pair in caller order
   EXPECT_EQ(inst.original_id(2), 1u);
+}
+
+// Inputs for the canonical-order differential below, one per path of the
+// constructor's order computation.
+enum class Shape {
+  kSpread,      // distinct-ish values: packed keys, std::sort or radix
+  kFewValues,   // r ∈ [1,3], p ∈ [1,2]: mostly full (r, p) ties
+  kNarrowBand,  // r ∈ [2^24, 2^24+3]: key bytes equal in every job
+  kSorted,      // already in canonical order: the sort is skipped
+  kReversed,    // descending, ties in reverse caller order
+  kWide,        // an r of 2^61 and a p of 8: keys wider than 64 bits
+};
+
+std::vector<Job> order_input(Shape shape, std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto draw = [&](Res lo, Res hi) {
+    return std::uniform_int_distribution<Res>(lo, hi)(rng);
+  };
+  std::vector<Job> jobs(n);
+  for (Job& job : jobs) {
+    switch (shape) {
+      case Shape::kSpread:
+        job = Job{draw(1, 1000), draw(1, 1000000)};
+        break;
+      case Shape::kNarrowBand:
+        job = Job{draw(1, 4), (Res{1} << 24) + draw(0, 3)};
+        break;
+      default:
+        job = Job{draw(1, 2), draw(1, 3)};
+        break;
+    }
+  }
+  if (shape == Shape::kSorted || shape == Shape::kReversed) {
+    std::vector<Job> sorted;
+    for (const std::size_t idx : core::reference::canonical_order(jobs)) {
+      sorted.push_back(jobs[idx]);
+    }
+    if (shape == Shape::kReversed) std::reverse(sorted.begin(), sorted.end());
+    jobs = std::move(sorted);
+  }
+  if (shape == Shape::kWide && n >= 2) {
+    const Res last = static_cast<Res>(n) - 1;
+    const Res wide_r = draw(0, last);
+    const Res wide_p = (wide_r + draw(1, last)) % static_cast<Res>(n);
+    jobs[static_cast<std::size_t>(wide_r)] = Job{1, Res{1} << 61};
+    jobs[static_cast<std::size_t>(wide_p)].size = 8;
+  }
+  return jobs;
+}
+
+TEST(Instance, CanonicalOrderMatchesStableSortReference) {
+  // The constructor's order (sorted-input skip, packed keys under std::sort
+  // or a byte radix, comparator fallback for wide keys) against a plain
+  // comparator std::stable_sort, at sizes on both sides of the 64-job
+  // cut-over.
+  const Shape shapes[] = {Shape::kSpread, Shape::kFewValues,
+                          Shape::kNarrowBand, Shape::kSorted,
+                          Shape::kReversed, Shape::kWide};
+  const std::size_t job_counts[] = {0, 1, 2, 63, 64, 65, 400, 5000};
+  for (const std::size_t n : job_counts) {
+    for (const Shape shape : shapes) {
+      for (const std::uint64_t seed : {1u, 2u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << n << " shape=" << static_cast<int>(shape)
+                     << " seed=" << seed);
+        const std::vector<Job> jobs = order_input(shape, n, seed);
+        const std::vector<std::size_t> order =
+            core::reference::canonical_order(jobs);
+        const Instance inst(4, 100, jobs);
+        ASSERT_EQ(inst.size(), n);
+
+        std::vector<Job> sorted;
+        std::vector<Res> requirements;
+        std::vector<Res> sizes;
+        std::vector<Res> totals;
+        std::vector<Res> prefix{0};
+        std::vector<Res> total_prefix{0};
+        for (const std::size_t idx : order) {
+          const Job& job = jobs[idx];
+          sorted.push_back(job);
+          requirements.push_back(job.requirement);
+          sizes.push_back(job.size);
+          totals.push_back(job.requirement * job.size);
+          prefix.push_back(prefix.back() + job.requirement);
+          total_prefix.push_back(total_prefix.back() +
+                                 job.requirement * job.size);
+        }
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_EQ(inst.original_id(j), order[j]) << "sorted position " << j;
+        }
+        EXPECT_EQ(inst.jobs(), sorted);
+        EXPECT_EQ(inst.requirements(), requirements);
+        EXPECT_EQ(inst.sizes(), sizes);
+        EXPECT_EQ(inst.total_requirements(), totals);
+        EXPECT_EQ(inst.requirement_prefix(), prefix);
+        EXPECT_EQ(inst.total_requirement_prefix(), total_prefix);
+        EXPECT_EQ(inst.total_requirement(), total_prefix.back());
+      }
+    }
+  }
 }
 
 TEST(Instance, RejectsMalformedInput) {

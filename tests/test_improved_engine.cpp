@@ -29,6 +29,7 @@
 #include "core/schedule.hpp"
 #include "core/sos_scheduler.hpp"
 #include "core/validator.hpp"
+#include "failpoint_skip.hpp"
 #include "util/failpoint.hpp"
 #include "workloads/sos_generators.hpp"
 
@@ -180,6 +181,7 @@ TEST_P(ImprovedFamilySweep, ResetReuseMatchesFreshEngine) {
 }
 
 TEST_P(ImprovedFamilySweep, StrongExceptionGuaranteeUnderFailpoint) {
+  SKIP_WITHOUT_FAILPOINTS();
   const Instance inst = make();
   core::Schedule out;
   out.append(3, {core::Assignment{0, 1}});  // pre-existing content

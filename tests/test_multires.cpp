@@ -33,6 +33,7 @@
 #include "core/schedule.hpp"
 #include "core/sos_scheduler.hpp"
 #include "core/validator.hpp"
+#include "failpoint_skip.hpp"
 #include "io/text_io.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
@@ -305,6 +306,7 @@ TEST_P(MultiResFamilySweep, ResetReuseMatchesFreshEngine) {
 }
 
 TEST_P(MultiResFamilySweep, StrongExceptionGuaranteeUnderFailpoint) {
+  SKIP_WITHOUT_FAILPOINTS();
   const Instance inst = make();
   if (inst.resource_count() == 1) GTEST_SKIP() << "facade delegates at d=1";
   core::Schedule out;

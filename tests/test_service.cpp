@@ -19,6 +19,7 @@
 #include "batch/pipeline.hpp"
 #include "batch/stream.hpp"
 #include "core/instance.hpp"
+#include "failpoint_skip.hpp"
 #include "service/journal.hpp"
 #include "service/service.hpp"
 #include "util/error.hpp"
@@ -30,13 +31,6 @@ namespace sharedres::service {
 namespace {
 
 namespace fp = util::failpoint;
-
-#define SKIP_WITHOUT_FAILPOINTS()                                  \
-  do {                                                             \
-    if (!fp::compiled_in()) {                                      \
-      GTEST_SKIP() << "fail points compiled out of this build";    \
-    }                                                              \
-  } while (0)
 
 struct FailpointGuard {
   ~FailpointGuard() { fp::reset(); }
