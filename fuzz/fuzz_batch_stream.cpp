@@ -1,8 +1,9 @@
 // Fuzz harness for the batch NDJSON layer (src/batch/).
 //
-// The first input byte selects the batch algorithm, whether schedules are
-// embedded and whether the formatted record is an ok or an error line; the
-// rest is fed three times:
+// The first input byte selects the batch algorithm (a batch::solvers() row,
+// by index modulo the table size), whether schedules are embedded and
+// whether the formatted record is an ok or an error line; the rest is fed
+// three times:
 //
 //   1. line by line through parse_instance_record, asserting the record
 //      contract: rejection is a typed exception (util::Error,
@@ -30,6 +31,7 @@
 
 #include "../tests/result_record_reference.hpp"
 #include "batch/pipeline.hpp"
+#include "batch/solver.hpp"
 #include "batch/stream.hpp"
 #include "util/error.hpp"
 
@@ -102,10 +104,9 @@ void fuzz_result_record(std::uint8_t selector, const std::string& doc) {
 }
 
 void fuzz_pipeline(std::uint8_t selector, const std::string& doc) {
-  static const char* const kAlgorithms[] = {"window", "unit", "gg",
-                                            "equalsplit", "sequential"};
+  const auto table = batch::solvers();
   batch::BatchOptions options;
-  options.algorithm = kAlgorithms[selector % 5];
+  options.algorithm = table[selector % table.size()].name;
   options.emit_schedules = (selector & 0x80) != 0;
   options.threads = 1;
   options.queue_capacity = 4;

@@ -135,6 +135,19 @@ printf '# sharedres instance v2\nmachines 2\nresources 2\ncapacity 10 4\njobs 1\
   >/dev/null 2>&1
 expect "solve multires oversized secondary requirement" 3 $?
 
+# d > 1 belongs to multires: every single-resource algorithm rejects a v2
+# instance as an input error instead of scheduling its primary axis alone.
+for algorithm in window unit improved gg equalsplit sequential; do
+  "$CLI" solve --instance="$tmp/inst-d2.txt" --algorithm=$algorithm \
+    >/dev/null 2> "$tmp/d2-$algorithm.err"
+  expect "solve --algorithm=$algorithm rejects a d=2 instance" 3 $?
+done
+grep -q "algorithm 'window' requires a single resource; the instance has 2" \
+  "$tmp/d2-window.err" || {
+  echo 'FAIL: solve --algorithm=window on d=2 lacks the typed message'
+  fail=1
+}
+
 # --parallel stays a unit-engine-only flag.
 "$CLI" solve --instance="$tmp/inst.txt" --algorithm=improved --parallel=2 \
   >/dev/null 2>&1

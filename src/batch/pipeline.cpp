@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "batch/emitter.hpp"
+#include "batch/solver.hpp"
 #include "batch/stream.hpp"
 #include "batch/worker.hpp"
 #include "cache/canonical.hpp"
@@ -34,11 +35,7 @@ bool blank(const std::string& line) {
 
 BatchSummary run_batch(std::istream& in, std::ostream& out,
                        const BatchOptions& options) {
-  const std::string& a = options.algorithm;
-  if (a != "window" && a != "unit" && a != "improved" && a != "gg" &&
-      a != "equalsplit" && a != "sequential" && a != "multires") {
-    throw util::Error::cli("algorithm", "unknown algorithm '" + a + "'");
-  }
+  (void)require_solver(options.algorithm);
 
   WorkOptions work_options;
   work_options.algorithm = options.algorithm;

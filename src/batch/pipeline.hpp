@@ -33,11 +33,13 @@
 // util::Error (kIo) once in-flight work drains — or when a library
 // invariant breaks (std::logic_error — a bug, not bad input).
 //
-// Scratch reuse: each worker owns one SosEngine, one UnitEngine and one
-// Schedule, rebound per record via their reset() APIs, so the steady-state
-// allocations per record are the parsed Instance and the per-block share
-// vectors the engines move into the schedule — engine-internal buffers are
-// recycled across the whole batch.
+// Scratch reuse: each worker owns one core::EngineScratch (at most one
+// engine of each kind, built on first use) and one Schedule. Every record
+// goes through its batch::solvers() row (solver.hpp), whose facade rebinds
+// those engines with reset(), so the steady-state allocations per record
+// are the parsed Instance and the per-block share vectors the engines move
+// into the schedule — engine-internal buffers are recycled across the whole
+// batch.
 //
 // Solve cache (cache_capacity > 0): the reader additionally parses and
 // canonicalizes each record and acquires a cache handle *in input order*, so
@@ -59,9 +61,8 @@
 namespace sharedres::batch {
 
 struct BatchOptions {
-  /// window | unit | gg | equalsplit | sequential | multires (the solve
-  /// command's
-  /// algorithm names). Validated by run_batch (util::Error, kCliUsage).
+  /// A batch::solvers() name (batch/solver.hpp). Validated by run_batch
+  /// (util::Error, kCliUsage).
   std::string algorithm = "window";
   /// Worker threads; <= 1 runs fully inline on the caller thread (no pool,
   /// no locks — the path the fuzz harness drives).

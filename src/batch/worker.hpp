@@ -23,33 +23,24 @@
 #include "batch/stream.hpp"
 #include "cache/canonical.hpp"
 #include "cache/solve_cache.hpp"
-#include "core/improved_engine.hpp"
+#include "core/engine_scratch.hpp"
 #include "core/instance.hpp"
-#include "core/multires_engine.hpp"
 #include "core/schedule.hpp"
-#include "core/sos_engine.hpp"
-#include "core/unit_engine.hpp"
 #include "obs/registry.hpp"
 #include "util/align.hpp"
 
 namespace sharedres::batch {
 
-/// Per-worker reusable state. The engines are lazily constructed on the
-/// worker's first suitable record and rebound with reset() afterwards; the
-/// metrics registry collects this worker's batch.* counters for the
-/// worker-order merge after the pool drains. Cache-line aligned: scratch
-/// blocks live contiguously in a deque and every worker hammers its own
-/// block's counters, so an unaligned boundary would put two workers' hot
-/// words on one line.
+/// Per-worker reusable state. The facades build each engine on the worker's
+/// first suitable record and rebind it with reset() afterwards
+/// (core/engine_scratch.hpp); the metrics registry collects this worker's
+/// batch.* counters for the worker-order merge after the pool drains.
+/// Cache-line aligned: scratch blocks live contiguously in a deque and every
+/// worker hammers its own block's counters, so an unaligned boundary would
+/// put two workers' hot words on one line.
 struct alignas(util::kCacheLineSize) WorkerScratch {
-  std::optional<core::SosEngine> sos;
-  std::optional<core::UnitEngine> unit;
-  std::optional<core::ImprovedEngine> improved;
-  std::optional<core::MultiResEngine> multires;
+  core::EngineScratch engines;
   core::Schedule schedule;
-  /// Runner-up schedule of the 'improved' portfolio (worker.cpp); kept here
-  /// so its block storage is reused across records like `schedule`'s.
-  core::Schedule alt_schedule;
   obs::Registry metrics{/*ring_capacity=*/1};
 };
 
@@ -57,8 +48,8 @@ struct alignas(util::kCacheLineSize) WorkerScratch {
 /// ServiceOptions that the worker needs, decoupled so the two front ends
 /// can share it.
 struct WorkOptions {
-  /// window | unit | improved | gg | equalsplit | sequential | multires.
-  /// Callers validate.
+  /// A batch::solvers() name (batch/solver.hpp). run_batch and the Service
+  /// constructor reject any other name up front.
   std::string algorithm = "window";
   /// Embed each feasible schedule (io::write_schedule text) in its result
   /// line under "schedule".
@@ -71,8 +62,9 @@ struct WorkOptions {
   std::uint64_t deadline_ms = 0;
 };
 
-/// Solve `inst` into scratch.schedule (reset first) with the named
-/// algorithm. Engine-less baselines assign a fresh schedule instead.
+/// Solve `inst` into scratch.schedule with the named batch::solvers() row:
+/// look it up (util::Error kCliUsage when unknown), check its preconditions
+/// (util::Error kInvalidInstance), run its solve.
 void solve_into(const core::Instance& inst, const std::string& algorithm,
                 WorkerScratch& scratch);
 

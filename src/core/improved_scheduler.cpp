@@ -3,7 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/improved_engine.hpp"
+#include "core/engine_scratch.hpp"
 #include "core/sos_scheduler.hpp"
 #include "obs/registry.hpp"
 
@@ -11,21 +11,29 @@ namespace sharedres::core {
 
 Schedule schedule_improved(const Instance& instance,
                            const ImprovedOptions& options) {
+  EngineScratch engines;
+  Schedule out;
+  schedule_improved(instance, out, engines, options);
+  return out;
+}
+
+void schedule_improved(const Instance& instance, Schedule& out,
+                       EngineScratch& engines,
+                       const ImprovedOptions& options) {
   if (instance.machines() < 2) {
     throw std::invalid_argument(
         "schedule_improved requires m >= 2 (use baselines::schedule_sequential "
         "for a single machine)");
   }
-  Schedule out;
-  if (instance.empty()) return out;
+  out.reset();
+  if (instance.empty()) return;
 
-  ImprovedEngine engine(
-      instance,
-      ImprovedEngine::Params{
-          .machine_cap = static_cast<std::size_t>(instance.machines()),
-          .budget = instance.capacity(),
-      });
-  engine.run(out, options.fast_forward);
+  const ImprovedEngine::Params params{
+      .machine_cap = static_cast<std::size_t>(instance.machines()),
+      .budget = instance.capacity(),
+  };
+  bind_engine(engines.improved, instance, params)
+      .run(out, options.fast_forward);
 
   // Portfolio floor: the window scheduler (and, for unit instances, its
   // unit-size variant) caps the makespan at the proven bounds. Strict `<`
@@ -33,16 +41,17 @@ Schedule schedule_improved(const Instance& instance,
   // invariant under the solve cache's uniform resource scaling (makespans
   // are unchanged by it).
   const SosOptions sos_options{.fast_forward = options.fast_forward};
-  Schedule window = schedule_sos(instance, sos_options);
+  Schedule& runner_up = engines.runner_up;
+  schedule_sos(instance, runner_up, engines, sos_options);
   int winner = 0;
-  if (window.makespan() < out.makespan()) {
-    out = std::move(window);
+  if (runner_up.makespan() < out.makespan()) {
+    std::swap(out, runner_up);
     winner = 1;
   }
   if (instance.unit_size()) {
-    Schedule unit = schedule_sos_unit(instance, sos_options);
-    if (unit.makespan() < out.makespan()) {
-      out = std::move(unit);
+    schedule_sos_unit(instance, runner_up, engines, sos_options);
+    if (runner_up.makespan() < out.makespan()) {
+      std::swap(out, runner_up);
       winner = 2;
     }
   }
@@ -51,7 +60,6 @@ Schedule schedule_improved(const Instance& instance,
     case 1: SHAREDRES_OBS_COUNT("engine.improved.portfolio.window"); break;
     default: SHAREDRES_OBS_COUNT("engine.improved.portfolio.unit"); break;
   }
-  return out;
 }
 
 util::Rational improved_ratio_bound(int machines) {

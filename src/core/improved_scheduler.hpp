@@ -8,6 +8,8 @@
 
 namespace sharedres::core {
 
+struct EngineScratch;
+
 struct ImprovedOptions {
   /// Skip runs of identical steps; disable for the pseudo-polynomial
   /// stepwise reference. Both produce identical schedules.
@@ -26,6 +28,13 @@ struct ImprovedOptions {
 /// std::invalid_argument otherwise.
 [[nodiscard]] Schedule schedule_improved(const Instance& instance,
                                          const ImprovedOptions& options = {});
+
+/// schedule_improved into `out` (reset first), running every portfolio
+/// member on the engines held in `engines` (core/engine_scratch.hpp) and
+/// racing them through engines.runner_up. Same schedule, same contract.
+void schedule_improved(const Instance& instance, Schedule& out,
+                       EngineScratch& engines,
+                       const ImprovedOptions& options = {});
 
 /// The proven worst-case ratio of schedule_improved (m ≥ 3): the portfolio
 /// never exceeds schedule_sos, so Theorem 3.3's 2 + 1/(m−2) carries over.

@@ -3,7 +3,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/multires_engine.hpp"
+#include "core/engine_scratch.hpp"
 #include "core/sos_scheduler.hpp"
 #include "obs/registry.hpp"
 #include "util/error.hpp"
@@ -12,22 +12,31 @@ namespace sharedres::core {
 
 Schedule schedule_multires(const Instance& instance,
                            const MultiResOptions& options) {
+  EngineScratch engines;
+  Schedule out;
+  schedule_multires(instance, out, engines, options);
+  return out;
+}
+
+void schedule_multires(const Instance& instance, Schedule& out,
+                       EngineScratch& engines,
+                       const MultiResOptions& options) {
   if (instance.machines() < 2) {
     throw std::invalid_argument(
         "schedule_multires requires m >= 2 (use baselines::schedule_sequential "
         "for a single machine)");
   }
-  Schedule out;
-  if (instance.empty()) return out;
+  out.reset();
+  if (instance.empty()) return;
 
   if (instance.resource_count() == 1) {
     // Conservative extension: one axis IS the SoS model, so reuse the window
     // scheduler unchanged — d = 1 output is schedule-identical to
     // schedule_sos by construction, including oversized (r > C) jobs.
     SHAREDRES_OBS_COUNT("engine.multires.delegated_sos");
-    return schedule_sos(instance, SosOptions{
-                                      .fast_forward = options.fast_forward,
-                                  });
+    schedule_sos(instance, out, engines,
+                 SosOptions{.fast_forward = options.fast_forward});
+    return;
   }
 
   // Rigid d-resource scheduling needs every job runnable at full rate.
@@ -46,13 +55,11 @@ Schedule schedule_multires(const Instance& instance,
   }
 
   SHAREDRES_OBS_COUNT("engine.multires.rigid_runs");
-  MultiResEngine engine(instance,
-                        MultiResEngine::Params{
-                            .machine_cap =
-                                static_cast<std::size_t>(instance.machines()),
-                        });
-  engine.run(out, options.fast_forward);
-  return out;
+  const MultiResEngine::Params params{
+      .machine_cap = static_cast<std::size_t>(instance.machines()),
+  };
+  bind_engine(engines.multires, instance, params)
+      .run(out, options.fast_forward);
 }
 
 }  // namespace sharedres::core

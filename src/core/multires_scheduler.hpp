@@ -6,6 +6,8 @@
 
 namespace sharedres::core {
 
+struct EngineScratch;
+
 struct MultiResOptions {
   /// Skip runs of identical steps; disable to run stepwise. Both produce
   /// identical schedules (same contract as every other engine).
@@ -23,5 +25,12 @@ struct MultiResOptions {
 /// the other schedulers; throws std::invalid_argument otherwise.
 [[nodiscard]] Schedule schedule_multires(const Instance& instance,
                                          const MultiResOptions& options = {});
+
+/// schedule_multires into `out` (reset first), building or rebinding the
+/// engine held in `engines` (core/engine_scratch.hpp). Same schedule, same
+/// contract.
+void schedule_multires(const Instance& instance, Schedule& out,
+                       EngineScratch& engines,
+                       const MultiResOptions& options = {});
 
 }  // namespace sharedres::core

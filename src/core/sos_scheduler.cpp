@@ -2,41 +2,54 @@
 
 #include <stdexcept>
 
+#include "core/engine_scratch.hpp"
 #include "core/parallel_unit.hpp"
-#include "core/sos_engine.hpp"
-#include "core/unit_engine.hpp"
 
 namespace sharedres::core {
 
 Schedule schedule_sos(const Instance& instance, const SosOptions& options) {
+  EngineScratch engines;
+  Schedule out;
+  schedule_sos(instance, out, engines, options);
+  return out;
+}
+
+void schedule_sos(const Instance& instance, Schedule& out,
+                  EngineScratch& engines, const SosOptions& options) {
   if (instance.machines() < 2) {
     throw std::invalid_argument(
         "schedule_sos requires m >= 2 (use baselines::schedule_sequential "
         "for a single machine)");
   }
-  Schedule out;
-  if (instance.empty()) return out;
-  SosEngine engine(instance,
-                   SosEngine::Params{
-                       .window_cap = static_cast<std::size_t>(
-                           instance.machines() - 1),
-                       .budget = instance.capacity(),
-                       .allow_extra_job = true,
-                   });
-  engine.run(out, options.fast_forward, options.observer);
-  return out;
+  out.reset();
+  if (instance.empty()) return;
+  const SosEngine::Params params{
+      .window_cap = static_cast<std::size_t>(instance.machines() - 1),
+      .budget = instance.capacity(),
+      .allow_extra_job = true,
+  };
+  bind_engine(engines.sos, instance, params)
+      .run(out, options.fast_forward, options.observer);
 }
 
 Schedule schedule_sos_unit(const Instance& instance,
                            const SosOptions& options) {
+  EngineScratch engines;
+  Schedule out;
+  schedule_sos_unit(instance, out, engines, options);
+  return out;
+}
+
+void schedule_sos_unit(const Instance& instance, Schedule& out,
+                       EngineScratch& engines, const SosOptions& options) {
   if (instance.machines() < 2) {
     throw std::invalid_argument("schedule_sos_unit requires m >= 2");
   }
   if (!instance.unit_size()) {
     throw std::invalid_argument("schedule_sos_unit requires unit-size jobs");
   }
-  Schedule out;
-  if (instance.empty()) return out;
+  out.reset();
+  if (instance.empty()) return;
   // Descriptor-parallel fast path: stepwise runs and observers need the
   // scalar engine's per-step machinery, and tiny instances don't amortize
   // the skeleton pass. A bail (instance outside the heavy regime) falls
@@ -45,12 +58,11 @@ Schedule schedule_sos_unit(const Instance& instance,
       options.observer == nullptr &&
       instance.size() >= options.parallel_min_jobs) {
     if (schedule_unit_parallel(instance, out, options.parallel_threads)) {
-      return out;
+      return;
     }
   }
-  UnitEngine engine(instance);
-  engine.run(out, options.fast_forward, options.observer);
-  return out;
+  bind_engine(engines.unit, instance)
+      .run(out, options.fast_forward, options.observer);
 }
 
 util::Rational sos_ratio_bound(int machines) {

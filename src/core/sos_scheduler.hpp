@@ -10,6 +10,8 @@
 
 namespace sharedres::core {
 
+struct EngineScratch;
+
 /// Below this instance size the intra-instance parallel fast path
 /// (core/parallel_unit.hpp) is not worth its skeleton pass: the scalar
 /// engine finishes small instances in well under a millisecond.
@@ -39,12 +41,22 @@ struct SosOptions {
 [[nodiscard]] Schedule schedule_sos(const Instance& instance,
                                     const SosOptions& options = {});
 
+/// schedule_sos into `out` (reset first), building or rebinding the engine
+/// held in `engines` (core/engine_scratch.hpp). Same schedule, same
+/// contract.
+void schedule_sos(const Instance& instance, Schedule& out,
+                  EngineScratch& engines, const SosOptions& options = {});
+
 /// The Section-3 unit-size modification: m-maximal windows, the single
 /// started job is treated as a job of requirement s_ι(t−1) and virtually
 /// reordered. Asymptotic ratio 1 + 1/(m−1); concretely
 /// |S| ≤ m/(m−1)·|OPT| + 1. Requires m ≥ 2 and all p_j = 1.
 [[nodiscard]] Schedule schedule_sos_unit(const Instance& instance,
                                          const SosOptions& options = {});
+
+/// schedule_sos_unit into `out` (reset first) through `engines`.
+void schedule_sos_unit(const Instance& instance, Schedule& out,
+                       EngineScratch& engines, const SosOptions& options = {});
 
 /// Theorem 3.3's ratio 2 + 1/(m−2) as an exact rational (m ≥ 3).
 [[nodiscard]] util::Rational sos_ratio_bound(int machines);

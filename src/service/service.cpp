@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "batch/solver.hpp"
 #include "batch/stream.hpp"
 #include "obs/json_export.hpp"
 #include "obs/registry.hpp"
@@ -23,6 +24,7 @@ bool blank(const std::string& line) {
 }  // namespace
 
 Service::Service(const ServiceOptions& options) : options_(options) {
+  (void)batch::require_solver(options_.algorithm);
   // A high-water mark above the queue capacity could never trigger (the
   // queue cannot get that deep), turning shedding into silent backpressure
   // — clamp so "shedding on" always means "shed instead of block".

@@ -57,8 +57,8 @@
 namespace sharedres::service {
 
 struct ServiceOptions {
-  /// window | unit | gg | equalsplit | sequential | multires. Validated by
-  /// the CLI.
+  /// A batch::solvers() name (batch/solver.hpp). Validated by the Service
+  /// constructor (util::Error, kCliUsage).
   std::string algorithm = "window";
   /// Worker threads (>= 1; the service always runs its pool, unlike batch's
   /// inline path — a daemon must keep accepting while a solve runs).
@@ -128,7 +128,8 @@ class Service {
   };
 
   /// Opens the journal (if configured) and spawns the pool. Throws
-  /// util::Error (kIo) when the journal path cannot be opened.
+  /// util::Error: kCliUsage for an unknown algorithm, kIo when the journal
+  /// path cannot be opened.
   explicit Service(const ServiceOptions& options);
   /// Drains via finish() if the caller did not.
   ~Service();

@@ -14,10 +14,15 @@
 
 #include "baselines/baselines.hpp"
 #include "batch/pipeline.hpp"
+#include "batch/solver.hpp"
 #include "batch/stream.hpp"
+#include "batch/worker.hpp"
 #include "cache/canonical.hpp"
+#include "core/improved_engine.hpp"
+#include "core/improved_scheduler.hpp"
 #include "core/instance.hpp"
 #include "core/lower_bounds.hpp"
+#include "core/multires_scheduler.hpp"
 #include "core/schedule.hpp"
 #include "core/sos_engine.hpp"
 #include "core/sos_scheduler.hpp"
@@ -27,6 +32,7 @@
 #include "result_record_reference.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
+#include "workloads/multires_generators.hpp"
 #include "workloads/sos_generators.hpp"
 
 namespace sharedres::batch {
@@ -250,35 +256,76 @@ TEST(BatchPipeline, MatchesOneShotSolvesAndCountsSummary) {
       6);
 }
 
+/// The one-shot value facade behind each solver row: the reference a
+/// pipeline answer must reproduce byte for byte.
+core::Schedule one_shot(const std::string& algorithm,
+                        const core::Instance& inst) {
+  if (algorithm == "window") return core::schedule_sos(inst);
+  if (algorithm == "unit") return core::schedule_sos_unit(inst);
+  if (algorithm == "improved") return core::schedule_improved(inst);
+  if (algorithm == "gg") return baselines::schedule_garey_graham(inst);
+  if (algorithm == "equalsplit") return baselines::schedule_equal_split(inst);
+  if (algorithm == "sequential") return baselines::schedule_sequential(inst);
+  if (algorithm == "multires") return core::schedule_multires(inst);
+  ADD_FAILURE() << "no one-shot entry point for '" << algorithm << "'";
+  return {};
+}
+
 TEST(BatchPipeline, EveryAlgorithmMatchesItsOneShotEntryPoint) {
   const core::Instance general = workloads::uniform_instance(config(11));
   const core::Instance unit =
       workloads::uniform_instance(config(12, 10, /*max_size=*/1));
-
-  const std::vector<std::pair<std::string, core::Time>> cases = {
-      {"window", core::schedule_sos(general).makespan()},
-      {"gg", baselines::schedule_garey_graham(general).makespan()},
-      {"equalsplit", baselines::schedule_equal_split(general).makespan()},
-      {"sequential", baselines::schedule_sequential(general).makespan()},
-  };
-  for (const auto& [algorithm, expected] : cases) {
-    BatchOptions options;
-    options.algorithm = algorithm;
-    const auto [text, summary] =
-        run({format_instance_record(general)}, options);
-    EXPECT_EQ(summary.ok, 1u) << algorithm;
-    const util::Json doc = util::Json::parse(output_lines(text)[0]);
-    EXPECT_EQ(doc.at("makespan").as_double(), static_cast<double>(expected))
-        << algorithm;
+  // Unit-size, and the unit engine wins the improved portfolio's race
+  // (makespan 3 against 4 for the balanced and the window engine).
+  const core::Instance unit_floor =
+      workloads::uniform_instance(config(7, 10, /*max_size=*/1));
+  workloads::MultiResConfig multi_cfg;
+  multi_cfg.machines = 4;
+  multi_cfg.jobs = 12;
+  multi_cfg.max_size = 3;
+  multi_cfg.seed = 5;
+  const core::Instance multi =
+      workloads::correlated_multires_instance(multi_cfg);
+  ASSERT_EQ(multi.resource_count(), 2u);
+  {
+    const core::Schedule balanced = [&] {
+      core::ImprovedEngine engine(
+          unit_floor, {.machine_cap = 4, .budget = unit_floor.capacity()});
+      core::Schedule out;
+      engine.run(out);
+      return out;
+    }();
+    const core::Time unit_makespan =
+        core::schedule_sos_unit(unit_floor).makespan();
+    ASSERT_LT(unit_makespan, balanced.makespan());
+    ASSERT_LT(unit_makespan, core::schedule_sos(unit_floor).makespan());
   }
 
-  BatchOptions unit_options;
-  unit_options.algorithm = "unit";
-  const auto [text, summary] = run({format_instance_record(unit)}, unit_options);
-  EXPECT_EQ(summary.ok, 1u);
-  const util::Json doc = util::Json::parse(output_lines(text)[0]);
-  EXPECT_EQ(doc.at("makespan").as_double(),
-            static_cast<double>(core::schedule_sos_unit(unit).makespan()));
+  for (const Solver& solver : solvers()) {
+    const std::string name(solver.name);
+    std::vector<const core::Instance*> cases = {&unit, &unit_floor};
+    if (!solver.unit_only) cases.push_back(&general);
+    if (solver.multi_resource) cases.push_back(&multi);
+    for (const core::Instance* inst : cases) {
+      SCOPED_TRACE(name + " on " + format_instance_record(*inst));
+      BatchOptions options;
+      options.algorithm = name;
+      options.emit_schedules = true;
+      const auto [text, summary] =
+          run({format_instance_record(*inst)}, options);
+      ASSERT_EQ(summary.ok, 1u);
+      const util::Json doc = util::Json::parse(output_lines(text)[0]);
+      const core::Schedule expected = one_shot(name, *inst);
+      std::ostringstream expected_text;
+      io::write_schedule(expected_text, expected);
+      EXPECT_EQ(doc.at("algorithm").as_string(), name);
+      EXPECT_EQ(doc.at("makespan").as_double(),
+                static_cast<double>(expected.makespan()));
+      EXPECT_EQ(doc.at("blocks").as_double(),
+                static_cast<double>(expected.blocks().size()));
+      EXPECT_EQ(doc.at("schedule").as_string(), expected_text.str());
+    }
+  }
 }
 
 TEST(BatchPipeline, OutputByteIdenticalAcrossThreadCounts) {
@@ -360,6 +407,103 @@ TEST(BatchPipeline, RejectsUnknownAlgorithmBeforeReadingTheStream) {
     EXPECT_EQ(e.code(), util::ErrorCode::kCliUsage);
   }
   EXPECT_TRUE(out.str().empty());
+}
+
+TEST(BatchPipeline, SolveIntoHasNoFallbackForUnknownNames) {
+  // A near miss used to run the sequential baseline under the given name.
+  WorkerScratch scratch;
+  const core::Instance inst = workloads::uniform_instance(config(3));
+  for (const std::string name : {"Improved", "nope", ""}) {
+    try {
+      solve_into(inst, name, scratch);
+      ADD_FAILURE() << "unknown algorithm '" << name << "' accepted";
+    } catch (const util::Error& e) {
+      EXPECT_EQ(e.code(), util::ErrorCode::kCliUsage);
+      EXPECT_EQ(e.flag(), "algorithm");
+    }
+  }
+}
+
+TEST(SolverTable, PreconditionsThrowTheTypedTexts) {
+  const core::Instance one_machine = make(1, 10, {{2, 4}, {1, 3}});
+  const core::Instance d2(3, {10, 4}, {{3, {5, 5}}, {2, {2, 1}}});
+  for (const Solver& solver : solvers()) {
+    const std::string name(solver.name);
+    if (solver.needs_two_machines) {
+      try {
+        solver.check(one_machine);
+        ADD_FAILURE() << name << " accepted m = 1";
+      } catch (const util::Error& e) {
+        EXPECT_EQ(e.code(), util::ErrorCode::kInvalidInstance);
+        EXPECT_EQ(std::string(e.what()),
+                  "invalid instance: algorithm '" + name +
+                      "' requires machines >= 2" +
+                      (solver.unit_only ? " and unit-size jobs" : ""));
+      }
+    } else {
+      EXPECT_NO_THROW(solver.check(one_machine)) << name;
+    }
+    if (solver.multi_resource) {
+      EXPECT_NO_THROW(solver.check(d2)) << name;
+    } else if (!solver.unit_only) {
+      try {
+        solver.check(d2);
+        ADD_FAILURE() << name << " accepted d = 2";
+      } catch (const util::Error& e) {
+        EXPECT_EQ(e.code(), util::ErrorCode::kInvalidInstance);
+        EXPECT_EQ(std::string(e.what()),
+                  "invalid instance: algorithm '" + name +
+                      "' requires a single resource; the instance has 2");
+      }
+    }
+  }
+  EXPECT_EQ(find_solver("Improved"), nullptr);
+  EXPECT_EQ(&require_solver("improved"), find_solver("improved"));
+}
+
+TEST(BatchPipeline, SingleResourceAlgorithmsRejectMultiResourceRecords) {
+  // Solved on its primary axis alone, this record oversubscribes the second
+  // one (5 + 1 > 4); the worker used to abort the batch on the infeasible
+  // schedule. The unit row gets the unit-size twin, so that its unit-size
+  // check passes and the resource check is what fires.
+  const std::string d2 =
+      R"({"machines":3,"capacities":[10,4],"sizes":[3,2],)"
+      R"("requirements":[[5,5],[2,1]]})";
+  const std::string unit_d2 =
+      R"({"machines":3,"capacities":[10,4],"requirements":[[5,5],[2,1]]})";
+  for (const Solver& solver : solvers()) {
+    if (solver.multi_resource) continue;
+    const std::string name(solver.name);
+    const std::vector<std::string> lines = {
+        format_instance_record(
+            workloads::uniform_instance(config(1, 10, /*max_size=*/1)), "a"),
+        solver.unit_only ? unit_d2 : d2,
+        format_instance_record(
+            workloads::uniform_instance(config(2, 10, /*max_size=*/1)), "b"),
+    };
+    for (const std::size_t threads : {1u, 2u}) {
+      for (const std::size_t cache : {0u, 16u}) {
+        SCOPED_TRACE(name + " threads=" + std::to_string(threads) +
+                     " cache=" + std::to_string(cache));
+        BatchOptions options;
+        options.algorithm = name;
+        options.threads = threads;
+        options.cache_capacity = cache;
+        const auto [text, summary] = run(lines, options);
+        EXPECT_EQ(summary.records, 3u);
+        EXPECT_EQ(summary.failed, 1u);
+        const std::vector<std::string> out = output_lines(text);
+        ASSERT_EQ(out.size(), 4u);
+        EXPECT_TRUE(util::Json::parse(out[0]).at("ok").as_bool());
+        EXPECT_EQ(out[1],
+                  R"({"index":1,"ok":false,"error":{"code":"invalid_instance",)"
+                  R"("message":"invalid instance: algorithm ')" +
+                      name +
+                      R"(' requires a single resource; the instance has 2"}})");
+        EXPECT_TRUE(util::Json::parse(out[2]).at("ok").as_bool());
+      }
+    }
+  }
 }
 
 TEST(BatchPipeline, EmptyStreamYieldsOnlyASummaryLine) {

@@ -258,6 +258,67 @@ TEST(ServiceResponses, MalformedAndBlankLinesFollowBatchSemantics) {
   EXPECT_NE(got[1].find("\"ok\":true"), std::string::npos);
 }
 
+TEST(ServiceResponses, UnknownAlgorithmIsRejectedAtConstruction) {
+  // A near miss used to be served by the sequential baseline under the
+  // given name.
+  ServiceOptions options;
+  options.algorithm = "Improved";
+  try {
+    Service service(options);
+    FAIL() << "unknown algorithm accepted";
+  } catch (const util::Error& e) {
+    EXPECT_EQ(e.code(), util::ErrorCode::kCliUsage);
+    EXPECT_EQ(std::string(e.what()),
+              "--algorithm: unknown algorithm 'Improved'");
+  }
+}
+
+TEST(ServiceJournal, MultiResourceRequestUnderWindowIsOneTypedLine) {
+  // The window scheduler is a single-resource algorithm. This d = 2 request
+  // used to end the service on an infeasible-schedule logic_error, after
+  // it had been journaled, so every replay ended the same way.
+  TempFile tmp("service_d2");
+  const std::vector<std::string> lines = {
+      request_lines(1)[0],
+      R"({"machines":3,"capacities":[10,4],"sizes":[3,2],)"
+      R"("requirements":[[5,5],[2,1]]})",
+      request_lines(2)[1],
+  };
+  std::vector<std::string> first_life;
+  {
+    ServiceOptions options;
+    options.threads = 2;
+    options.journal_path = tmp.path;
+    Service service(options);
+    CollectingSink sink;
+    auto client = service.open_client(sink.writer());
+    for (const std::string& line : lines) service.submit(client, line);
+    const ServiceSummary summary = service.finish();
+    EXPECT_TRUE(summary.drained);
+    EXPECT_EQ(summary.ok, 2u);
+    EXPECT_EQ(summary.failed, 1u);
+    first_life = sink.snapshot();
+  }
+  ASSERT_EQ(first_life.size(), 3u);
+  EXPECT_EQ(first_life[1],
+            R"({"index":1,"ok":false,"error":{"code":"invalid_instance",)"
+            R"("message":"invalid instance: algorithm 'window' requires a )"
+            R"(single resource; the instance has 2"}})");
+  EXPECT_EQ(first_life, batch_reference(lines));
+
+  const Journal::Replay journaled = Journal::read_admitted(tmp.path);
+  ASSERT_EQ(journaled.lines, lines);
+  ServiceOptions options;
+  options.threads = 1;
+  options.journal_path = tmp.path;
+  Service service(options);
+  CollectingSink sink;
+  auto client = service.open_client(sink.writer());
+  EXPECT_EQ(service.replay(client, journaled.lines), lines.size());
+  (void)service.finish();
+  EXPECT_EQ(sink.snapshot(), first_life);
+}
+
 TEST(ServiceResponses, PerClientIndicesAndOrderAreIndependent) {
   const std::vector<std::string> lines = request_lines(8);
   const std::vector<std::string> ref_a =

@@ -5,8 +5,7 @@
 //                          [--resources=d] [--count=N --format=ndjson]
 //                          [--out=inst.txt]
 //   sharedres_cli solve    --instance=inst.txt
-//                          [--algorithm=window|unit|improved|gg|equalsplit|
-//                           sequential|multires]
+//                          [--algorithm=<a batch::solvers() name>]
 //                          [--out=sched.txt] [--gantt]
 //   sharedres_cli validate --instance=inst.txt --schedule=sched.txt [--json]
 //   sharedres_cli bounds   --instance=inst.txt
@@ -59,14 +58,12 @@
 
 #include <sstream>
 
-#include "baselines/baselines.hpp"
 #include "batch/pipeline.hpp"
+#include "batch/solver.hpp"
 #include "batch/stream.hpp"
 #include "binpack/packers.hpp"
 #include "core/lower_bounds.hpp"
 #include "obs/json_export.hpp"
-#include "core/improved_scheduler.hpp"
-#include "core/multires_scheduler.hpp"
 #include "core/sos_scheduler.hpp"
 #include "core/validator.hpp"
 #include "io/text_io.hpp"
@@ -99,16 +96,20 @@ constexpr int kExitUsage = 2;
 constexpr int kExitInput = 3;
 
 int usage() {
+  std::string algorithms;
+  for (const batch::Solver& solver : batch::solvers()) {
+    if (!algorithms.empty()) algorithms += '|';
+    algorithms += solver.name;
+  }
   std::cerr
       << "usage: sharedres_cli "
          "<gen|solve|validate|bounds|pack|sas|batch|serve|loadgen|failpoints> "
          "[--flags]\n"
          "  gen      --family=... --machines=M --jobs=N [--resources=d] "
          "[--count=K --format=ndjson] [--out=f]\n"
-         "  solve    --instance=f [--algorithm=window|unit|improved|gg|"
-         "equalsplit|"
-         "sequential|multires] [--parallel=N] [--gantt] [--stats] "
-         "[--svg=f.svg] [--out=f]\n"
+         "  solve    --instance=f [--algorithm="
+      << algorithms
+      << "] [--parallel=N] [--gantt] [--stats] [--svg=f.svg] [--out=f]\n"
          "  validate --instance=f --schedule=f [--json] [--max-violations=N]\n"
          "  bounds   --instance=f\n"
          "  pack     --instance=<packing file> [--algorithm=window|nextfit|"
@@ -131,6 +132,18 @@ int usage() {
          "        (src/obs) after any command, successful or not\n"
          "exit codes: 0 ok | 1 infeasible | 2 usage | 3 input error\n";
   return kExitUsage;
+}
+
+// The solver row named by --algorithm, or nullptr for an unknown name: a
+// usage error (exit 2), reported before any input or output file is touched
+// (run_batch and the Service constructor would only reject it later).
+const batch::Solver* lookup_algorithm(const char* command,
+                                      const std::string& algorithm) {
+  const batch::Solver* solver = batch::find_solver(algorithm);
+  if (solver == nullptr) {
+    std::cerr << command << ": unknown --algorithm=" << algorithm << "\n";
+  }
+  return solver;
 }
 
 int cmd_gen(const util::Cli& cli) {
@@ -253,15 +266,7 @@ int cmd_batch(const util::Cli& cli) {
 
   batch::BatchOptions options;
   options.algorithm = cli.get("algorithm", "window");
-  // run_batch re-validates, but an unknown algorithm is a usage error here
-  // (exit 2), before any input is touched — same policy as `solve`.
-  if (options.algorithm != "window" && options.algorithm != "unit" &&
-      options.algorithm != "improved" && options.algorithm != "gg" &&
-      options.algorithm != "equalsplit" && options.algorithm != "sequential" &&
-      options.algorithm != "multires") {
-    std::cerr << "batch: unknown --algorithm=" << options.algorithm << "\n";
-    return kExitUsage;
-  }
+  if (!lookup_algorithm("batch", options.algorithm)) return kExitUsage;
   const std::int64_t threads = cli.get_int(
       "threads", static_cast<std::int64_t>(util::default_threads()));
   const std::int64_t queue = cli.get_int("queue", 64);
@@ -363,13 +368,7 @@ bool signal_seen() {
 int cmd_serve(const util::Cli& cli) {
   service::ServiceOptions options;
   options.algorithm = cli.get("algorithm", "window");
-  if (options.algorithm != "window" && options.algorithm != "unit" &&
-      options.algorithm != "improved" && options.algorithm != "gg" &&
-      options.algorithm != "equalsplit" && options.algorithm != "sequential" &&
-      options.algorithm != "multires") {
-    std::cerr << "serve: unknown --algorithm=" << options.algorithm << "\n";
-    return kExitUsage;
-  }
+  if (!lookup_algorithm("serve", options.algorithm)) return kExitUsage;
   const std::int64_t threads = cli.get_int(
       "threads", static_cast<std::int64_t>(util::default_threads()));
   const std::int64_t queue = cli.get_int("queue", 64);
@@ -854,13 +853,8 @@ int cmd_solve(const util::Cli& cli) {
   // Validate flags before touching the filesystem: a typo in --algorithm is
   // a usage error (exit 2) even when the instance file is also bad.
   const std::string algorithm = cli.get("algorithm", "window");
-  if (algorithm != "window" && algorithm != "unit" &&
-      algorithm != "improved" && algorithm != "gg" &&
-      algorithm != "equalsplit" && algorithm != "sequential" &&
-      algorithm != "multires") {
-    std::cerr << "solve: unknown --algorithm=" << algorithm << "\n";
-    return kExitUsage;
-  }
+  const batch::Solver* solver = lookup_algorithm("solve", algorithm);
+  if (!solver) return kExitUsage;
   // --parallel=N engages the descriptor-parallel unit engine with N workers
   // (0 = scalar, the default). Unit-only: no other algorithm has a parallel
   // path, and silently ignoring the flag would misreport an experiment.
@@ -874,32 +868,18 @@ int cmd_solve(const util::Cli& cli) {
     return kExitUsage;
   }
   const core::Instance inst = io::load_instance(path);
+  solver->check(inst);
 
   core::Schedule schedule;
-  if (algorithm == "window") {
-    schedule = core::schedule_sos(inst);
-  } else if (algorithm == "unit") {
-    core::SosOptions options;
-    if (parallel > 0) {
-      options.parallel_threads = static_cast<std::size_t>(parallel);
-      // The CLI flag is an explicit request: engage regardless of size so
-      // identity scripts can diff small instances through the fast path.
-      options.parallel_min_jobs = 0;
-    }
-    schedule = core::schedule_sos_unit(inst, options);
-  } else if (algorithm == "improved") {
-    schedule = core::schedule_improved(inst);
-  } else if (algorithm == "gg") {
-    schedule = baselines::schedule_garey_graham(inst);
-  } else if (algorithm == "equalsplit") {
-    schedule = baselines::schedule_equal_split(inst);
-  } else if (algorithm == "sequential") {
-    schedule = baselines::schedule_sequential(inst);
-  } else if (algorithm == "multires") {
-    schedule = core::schedule_multires(inst);
+  if (parallel > 0) {
+    // The CLI flag is an explicit request: engage regardless of size so
+    // identity scripts can diff small instances through the fast path.
+    schedule = core::schedule_sos_unit(
+        inst, {.parallel_threads = static_cast<std::size_t>(parallel),
+               .parallel_min_jobs = 0});
   } else {
-    std::cerr << "solve: unknown --algorithm=" << algorithm << "\n";
-    return kExitUsage;
+    core::EngineScratch engines;
+    solver->solve(inst, schedule, engines);
   }
 
   const auto check = core::validate(inst, schedule);
