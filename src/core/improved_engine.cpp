@@ -1,44 +1,24 @@
 #include "core/improved_engine.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <stdexcept>
 
 #include "obs/registry.hpp"
 #include "util/checked.hpp"
-#include "util/deadline.hpp"
-#include "util/failpoint.hpp"
 
 namespace sharedres::core {
-
-namespace {
-
-// Internal invariant check: these fire only on engine bugs, never on user
-// input, but throwing keeps test failures informative.
-void ensure(bool cond, const char* msg) {
-  if (!cond) {
-    throw std::logic_error(std::string("ImprovedEngine invariant: ") + msg);
-  }
-}
-
-}  // namespace
 
 ImprovedEngine::ImprovedEngine(const Instance& instance, Params params) {
   reset(instance, params);
 }
 
 void ImprovedEngine::reset(const Instance& instance, Params params) {
-  inst_ = &instance;
+  reset_work(instance);
   reqs_ = instance.requirements().data();
-  totals_ = instance.total_requirements().data();
   params_ = params;
   ensure(params_.machine_cap >= 1, "machine_cap must be >= 1");
   ensure(params_.budget >= 1, "budget must be >= 1");
 
   const std::size_t n = instance.size();
-  rem_.resize(n);
-  std::copy_n(totals_, n, rem_.begin());
-
   link_.resize(n + 1);
   for (std::size_t p = 0; p <= n; ++p) link_[p] = p;
   unstarted_ = n;
@@ -47,9 +27,6 @@ void ImprovedEngine::reset(const Instance& instance, Params params) {
   active_.reserve(params_.machine_cap);
   absorber_ = kNoJob;
   core_req_ = 0;
-  remaining_jobs_ = n;
-  now_ = 0;
-  finished_scratch_.clear();
   stats_ = {};  // a prior run that threw may have left stats behind
 }
 
@@ -120,12 +97,6 @@ void ImprovedEngine::prepare_step() {
   }
 }
 
-BalancedStep ImprovedEngine::plan() const {
-  BalancedStep out;
-  plan_into(out);
-  return out;
-}
-
 void ImprovedEngine::plan_into(BalancedStep& out) const {
   ensure(!active_.empty(), "plan with no running jobs");
   out.shares.clear();
@@ -146,24 +117,7 @@ void ImprovedEngine::plan_into(BalancedStep& out) const {
   }
 }
 
-bool ImprovedEngine::apply(const BalancedStep& planned, Time reps) {
-  ensure(reps >= 1, "apply with reps < 1");
-  finished_scratch_.clear();
-  for (const Assignment& a : planned.shares) {
-    const Res total = util::mul_checked(a.share, reps);
-    ensure(rem_[a.job] >= total, "apply overshoots a job's remaining work");
-    ensure(reps == 1 || rem_[a.job] > util::mul_checked(a.share, reps - 1),
-           "apply: a job would finish strictly inside the block");
-    rem_[a.job] -= total;
-    if (rem_[a.job] == 0) finished_scratch_.push_back(a.job);
-  }
-  for (const JobId j : finished_scratch_) finish_job(j);
-  now_ += reps;
-  return !finished_scratch_.empty();
-}
-
 void ImprovedEngine::finish_job(JobId j) {
-  ensure(rem_[j] == 0, "finish_job on unfinished job");
   const auto it = std::lower_bound(active_.begin(), active_.end(), j);
   ensure(it != active_.end() && *it == j, "finish_job on non-running job");
   active_.erase(it);
@@ -172,111 +126,28 @@ void ImprovedEngine::finish_job(JobId j) {
   } else {
     core_req_ -= req(j);
   }
-  --remaining_jobs_;
 }
 
-StepInfo ImprovedEngine::make_info(const BalancedStep& planned,
-                                   Time first_step) const {
-  StepInfo info;
-  info.first_step = first_step;
-  info.repeat = 1;
-  info.shares = planned.shares;
-  info.window_size = active_.size();
-  info.window_requirement = core_req_;
-  if (absorber_ != kNoJob) {
-    info.window_requirement =
-        util::add_checked(info.window_requirement, req(absorber_));
-    info.fractured = absorber_;
-  }
+void ImprovedEngine::count_block(const BalancedStep& planned, Time reps) {
+  // Facts of the step as planned: apply() only finishes jobs, so the
+  // unstarted set is the one the plan saw, and the plan has one share per
+  // running job.
+  Res used = 0;
   for (const Assignment& a : planned.shares) {
-    info.resource_used = util::add_checked(info.resource_used, a.share);
-    if (a.share == req(a.job)) ++info.full_requirement_jobs;
+    used = util::add_checked(used, a.share);
   }
-  info.step_case = info.resource_used >= params_.budget ? StepCase::kHeavy
-                                                        : StepCase::kLight;
-  return info;
-}
-
-void ImprovedEngine::run(Schedule& out, bool fast_forward,
-                         StepObserver* observer) {
-  BalancedStep planned;
-  BalancedStep again;
-  out.reserve_blocks(remaining_jobs_ + 1);
-  // Strong exception guarantee for `out`, same contract as SosEngine::run.
-  const Schedule::Mark mark = out.mark();
-  try {
-    run_loop(out, fast_forward, observer, planned, again);
-  } catch (...) {
-    out.rollback(mark);
-    throw;
+  const auto ureps = static_cast<std::uint64_t>(reps);
+  ++stats_.blocks;
+  stats_.steps += ureps;
+  stats_.fast_forward_steps += ureps - 1;
+  if (used == params_.budget) stats_.saturated_steps += ureps;
+  if (planned.shares.size() == params_.machine_cap) {
+    stats_.machine_full_steps += ureps;
   }
-  publish_stats();
-}
-
-void ImprovedEngine::run_loop(Schedule& out, bool fast_forward,
-                              StepObserver* observer, BalancedStep& planned,
-                              BalancedStep& again) {
-  while (!done()) {
-    SHAREDRES_FAILPOINT("improved_engine.step");
-    util::deadline::check("improved_engine.step");
-    prepare_step();
-    plan_into(planned);
-    const Time first_step = now_ + 1;
-    StepInfo info;
-    if (observer != nullptr) info = make_info(planned, first_step);
-    const bool machine_full = active_.size() == params_.machine_cap;
-    const bool drained = unstarted_ == 0;
-    Res used = 0;
-    if (obs::enabled()) {
-      for (const Assignment& a : planned.shares) {
-        used = util::add_checked(used, a.share);
-      }
-    }
-    const bool finished_any = apply(planned, 1);
-    Time reps = 1;
-
-    if (fast_forward && !finished_any && !done()) {
-      // No finish means the running set, the committed requirement, and the
-      // unstarted set are all unchanged, so prepare_step() would admit
-      // nothing — only the absorber's shrinking remaining work can alter
-      // the plan. If the re-planned step is identical it stays identical
-      // until the first finish: extend to just before it.
-      plan_into(again);
-      if (again.shares == planned.shares) {
-        Time until_change = std::numeric_limits<Time>::max();
-        for (const Assignment& a : planned.shares) {
-          until_change =
-              std::min(until_change, util::ceil_div(rem_[a.job], a.share));
-        }
-        const Time extra = until_change - 1;
-        if (extra > 0) {
-          apply(again, extra);
-          reps += extra;
-        }
-      }
-    }
-    if (obs::enabled()) {
-      const auto ureps = static_cast<std::uint64_t>(reps);
-      ++stats_.blocks;
-      stats_.steps += ureps;
-      stats_.fast_forward_steps += ureps - 1;
-      if (used == params_.budget) stats_.saturated_steps += ureps;
-      if (machine_full) stats_.machine_full_steps += ureps;
-      if (drained) stats_.drain_steps += ureps;
-    }
-
-    if (observer != nullptr) {
-      info.repeat = reps;
-      out.append(reps, planned.shares);
-      observer->on_step(info);
-    } else {
-      out.append(reps, std::move(planned.shares));
-    }
-  }
+  if (unstarted_ == 0) stats_.drain_steps += ureps;
 }
 
 void ImprovedEngine::publish_stats() {
-  if (!obs::enabled()) return;
   SHAREDRES_OBS_COUNT("engine.improved.runs");
   SHAREDRES_OBS_COUNT_N("engine.improved.blocks", stats_.blocks);
   SHAREDRES_OBS_COUNT_N("engine.improved.steps", stats_.steps);
@@ -293,5 +164,7 @@ void ImprovedEngine::publish_stats() {
   SHAREDRES_OBS_COUNT_N("engine.improved.drain_steps", stats_.drain_steps);
   stats_ = {};
 }
+
+template class EngineDriver<ImprovedEngine, BalancedStep>;
 
 }  // namespace sharedres::core

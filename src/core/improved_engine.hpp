@@ -21,7 +21,7 @@
 //   plan()          — the resource assignment as a pure function of state.
 //   apply()         — execute the planned step once (or `reps` times).
 //
-// run() uses the same fast-forward block compression as SosEngine: grants
+// run() is the loop the step engines share (core/engine_driver.hpp): grants
 // only change on a finish or an admission, so runs of identical steps are
 // emitted as single blocks. Stepwise execution produces identical schedules.
 //
@@ -34,9 +34,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/engine_driver.hpp"
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
-#include "core/trace.hpp"
 #include "core/types.hpp"
 #include "util/align.hpp"
 
@@ -50,7 +50,7 @@ struct BalancedStep {
   JobId absorber = kNoJob;
 };
 
-class ImprovedEngine {
+class ImprovedEngine : public EngineDriver<ImprovedEngine, BalancedStep> {
  public:
   struct Params {
     std::size_t machine_cap = 0;  ///< m: processors, bounds |running set|
@@ -64,35 +64,19 @@ class ImprovedEngine {
   /// stay alive for the engine's lifetime.
   void reset(const Instance& instance, Params params);
 
-  [[nodiscard]] bool done() const { return remaining_jobs_ == 0; }
-  [[nodiscard]] Time now() const { return now_; }
-
   /// Admissions for the next step. Call once per time step, before plan().
   void prepare_step();
-
-  /// The step's resource assignment as a pure function of the prepared state.
-  [[nodiscard]] BalancedStep plan() const;
 
   /// As plan(), but reuses `out`'s share vector (the run() hot path).
   void plan_into(BalancedStep& out) const;
 
-  /// Apply `planned` for `reps` consecutive steps. Requires that no job would
-  /// finish strictly before step `reps` (violating it throws). Returns true
-  /// iff some job finished in the final step.
-  bool apply(const BalancedStep& planned, Time reps);
-
-  /// Run to completion, appending blocks to `out` and notifying `observer`
-  /// (may be null). Strong exception guarantee for `out`: if a step throws,
-  /// `out` is rolled back to its state at entry; the engine itself is then
-  /// in an unspecified (destroy-only) state.
-  void run(Schedule& out, bool fast_forward = true,
-           StepObserver* observer = nullptr);
+  // run(out, fast_forward = true), apply(), plan(), done(), now(),
+  // instance(), remaining() and finished() come from EngineDriver. run()
+  // gives the strong guarantee for `out`; after a throw the engine is fit
+  // only for reset().
 
   // ---- introspection (tests, instrumentation) ----
 
-  [[nodiscard]] const Instance& instance() const { return *inst_; }
-  [[nodiscard]] Res remaining(JobId j) const { return rem_[j]; }
-  [[nodiscard]] bool finished(JobId j) const { return rem_[j] == 0; }
   [[nodiscard]] const std::vector<JobId>& running() const { return active_; }
   [[nodiscard]] JobId absorber() const { return absorber_; }
   /// Σ r_j over the running set minus the absorber — the capacity committed
@@ -100,6 +84,10 @@ class ImprovedEngine {
   [[nodiscard]] Res committed_requirement() const { return core_req_; }
 
  private:
+  friend class EngineDriver<ImprovedEngine, BalancedStep>;
+  static constexpr const char* kName = "ImprovedEngine";
+  static constexpr const char* kStepSite = "improved_engine.step";
+
   [[nodiscard]] Res req(JobId j) const { return reqs_[j]; }
   /// Largest unstarted job with id < pos (ids are sorted by ascending
   /// requirement, so this is "largest requirement below a threshold").
@@ -108,9 +96,8 @@ class ImprovedEngine {
   [[nodiscard]] JobId largest_unstarted_below(std::size_t pos);
   void admit(JobId j, bool as_absorber);
   void finish_job(JobId j);
-  StepInfo make_info(const BalancedStep& planned, Time first_step) const;
-  void run_loop(Schedule& out, bool fast_forward, StepObserver* observer,
-                BalancedStep& planned, BalancedStep& again);
+  [[nodiscard]] std::size_t block_hint() const { return remaining_jobs_ + 1; }
+  void count_block(const BalancedStep& planned, Time reps);
   void publish_stats();
 
   /// Deterministic run statistics (metric catalog: DESIGN.md §9), flushed to
@@ -126,12 +113,9 @@ class ImprovedEngine {
     std::uint64_t drain_steps = 0;         ///< steps with no unstarted jobs
   };
 
-  const Instance* inst_ = nullptr;
   const Res* reqs_ = nullptr;    // inst_->requirements().data()
-  const Res* totals_ = nullptr;  // inst_->total_requirements().data()
   Params params_;
 
-  std::vector<Res> rem_;         // s_j(t−1); 0 = finished
   std::vector<JobId> active_;    // running set, ascending job id, |·| ≤ m
   JobId absorber_ = kNoJob;      // the slack absorber, if running
   Res core_req_ = 0;             // Σ r_j over active_ ∖ {absorber_}
@@ -142,11 +126,9 @@ class ImprovedEngine {
   std::vector<std::size_t> link_;
   std::size_t unstarted_ = 0;    // #unstarted jobs
 
-  std::size_t remaining_jobs_ = 0;
-  Time now_ = 0;                 // completed time steps
-
-  std::vector<JobId> finished_scratch_;  // apply()'s batched finish list
   RunStats stats_;
 };
+
+extern template class EngineDriver<ImprovedEngine, BalancedStep>;
 
 }  // namespace sharedres::core

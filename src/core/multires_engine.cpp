@@ -1,43 +1,22 @@
 #include "core/multires_engine.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <stdexcept>
 
 #include "obs/registry.hpp"
-#include "util/checked.hpp"
-#include "util/deadline.hpp"
-#include "util/failpoint.hpp"
 
 namespace sharedres::core {
-
-namespace {
-
-// Internal invariant check: these fire only on engine bugs, never on user
-// input, but throwing keeps test failures informative.
-void ensure(bool cond, const char* msg) {
-  if (!cond) {
-    throw std::logic_error(std::string("MultiResEngine invariant: ") + msg);
-  }
-}
-
-}  // namespace
 
 MultiResEngine::MultiResEngine(const Instance& instance, Params params) {
   reset(instance, params);
 }
 
 void MultiResEngine::reset(const Instance& instance, Params params) {
-  inst_ = &instance;
+  reset_work(instance);
   params_ = params;
   axes_ = instance.resource_count();
   ensure(params_.machine_cap >= 1, "machine_cap must be >= 1");
 
   const std::size_t n = instance.size();
-  rem_steps_.resize(n);
-  const std::vector<Res>& sizes = instance.sizes();
-  for (std::size_t j = 0; j < n; ++j) rem_steps_[j] = sizes[j];
-
   used_.assign(axes_, 0);
   for (std::size_t k = 0; k < axes_; ++k) {
     const Res* reqs = instance.axis_requirements(k);
@@ -60,9 +39,6 @@ void MultiResEngine::reset(const Instance& instance, Params params) {
 
   active_.clear();
   active_.reserve(params_.machine_cap);
-  remaining_jobs_ = n;
-  now_ = 0;
-  finished_scratch_.clear();
   stats_ = {};  // a prior run that threw may have left stats behind
 }
 
@@ -108,13 +84,13 @@ void MultiResEngine::prepare_step() {
     }
     j = next;
   }
-  if (obs::enabled()) stats_.admissions += admissions;
-}
-
-MultiResStep MultiResEngine::plan() const {
-  MultiResStep out;
-  plan_into(out);
-  return out;
+  if (obs::enabled()) {
+    stats_.admissions += admissions;
+    saturated_ = false;
+    for (std::size_t k = 0; k < axes_; ++k) {
+      saturated_ = saturated_ || used_[k] == inst_->capacity(k);
+    }
+  }
 }
 
 void MultiResEngine::plan_into(MultiResStep& out) const {
@@ -123,103 +99,36 @@ void MultiResEngine::plan_into(MultiResStep& out) const {
   out.shares.reserve(active_.size());
   const Res* reqs = inst_->requirements().data();
   for (const JobId j : active_) {
-    out.shares.push_back({j, reqs[j]});  // rigid: always full rate
+    // Rigid: always full rate, so the work left is whole steps of it.
+    ensure(rem_[j] % reqs[j] == 0, "rigid job with a partial step left");
+    out.shares.push_back({j, reqs[j]});
   }
-}
-
-bool MultiResEngine::apply(const MultiResStep& planned, Time reps) {
-  ensure(reps >= 1, "apply with reps < 1");
-  finished_scratch_.clear();
-  const Res* reqs = inst_->requirements().data();
-  for (const Assignment& a : planned.shares) {
-    ensure(a.share == reqs[a.job], "rigid plan with a non-full-rate share");
-    ensure(rem_steps_[a.job] >= reps,
-           "apply overshoots a job's remaining steps");
-    rem_steps_[a.job] -= reps;
-    if (rem_steps_[a.job] == 0) finished_scratch_.push_back(a.job);
-  }
-  for (const JobId j : finished_scratch_) finish_job(j);
-  now_ += reps;
-  return !finished_scratch_.empty();
 }
 
 void MultiResEngine::finish_job(JobId j) {
-  ensure(rem_steps_[j] == 0, "finish_job on unfinished job");
   const auto it = std::lower_bound(active_.begin(), active_.end(), j);
   ensure(it != active_.end() && *it == j, "finish_job on non-running job");
   active_.erase(it);
   for (std::size_t k = 0; k < axes_; ++k) {
     used_[k] -= inst_->axis_requirements(k)[j];
   }
-  --remaining_jobs_;
 }
 
-void MultiResEngine::run(Schedule& out, bool fast_forward) {
-  MultiResStep planned;
-  MultiResStep again;
-  out.reserve_blocks(remaining_jobs_ + 1);
-  // Strong exception guarantee for `out`, same contract as SosEngine::run.
-  const Schedule::Mark mark = out.mark();
-  try {
-    run_loop(out, fast_forward, planned, again);
-  } catch (...) {
-    out.rollback(mark);
-    throw;
+void MultiResEngine::count_block(const MultiResStep& planned, Time reps) {
+  // The plan has one share per running job, and apply() only finishes
+  // jobs, so the unstarted set is the one the plan saw.
+  const auto ureps = static_cast<std::uint64_t>(reps);
+  ++stats_.blocks;
+  stats_.steps += ureps;
+  stats_.fast_forward_steps += ureps - 1;
+  if (saturated_) stats_.saturated_steps += ureps;
+  if (planned.shares.size() == params_.machine_cap) {
+    stats_.machine_full_steps += ureps;
   }
-  publish_stats();
-}
-
-void MultiResEngine::run_loop(Schedule& out, bool fast_forward,
-                              MultiResStep& planned, MultiResStep& again) {
-  while (!done()) {
-    SHAREDRES_FAILPOINT("multires_engine.step");
-    util::deadline::check("multires_engine.step");
-    prepare_step();
-    plan_into(planned);
-    const bool machine_full = active_.size() == params_.machine_cap;
-    const bool drained = unstarted_ == 0;
-    bool saturated = false;
-    if (obs::enabled()) {
-      for (std::size_t k = 0; k < axes_; ++k) {
-        saturated = saturated || used_[k] == inst_->capacity(k);
-      }
-    }
-    const bool finished_any = apply(planned, 1);
-    Time reps = 1;
-
-    if (fast_forward && !finished_any && !done()) {
-      // No finish means the running set, the per-axis usage, and the
-      // unstarted set are all unchanged, so prepare_step() would admit
-      // nothing and the re-planned step is identical until the first
-      // finish: extend to just before it.
-      plan_into(again);
-      if (again.shares == planned.shares) {
-        Time until_change = std::numeric_limits<Time>::max();
-        for (const Assignment& a : planned.shares) {
-          until_change = std::min(until_change, rem_steps_[a.job]);
-        }
-        const Time extra = until_change - 1;
-        if (extra > 0) {
-          apply(again, extra);
-          reps += extra;
-        }
-      }
-    }
-    if (obs::enabled()) {
-      const auto ureps = static_cast<std::uint64_t>(reps);
-      ++stats_.blocks;
-      stats_.steps += ureps;
-      stats_.fast_forward_steps += ureps - 1;
-      if (saturated) stats_.saturated_steps += ureps;
-      if (machine_full) stats_.machine_full_steps += ureps;
-      if (drained) stats_.drain_steps += ureps;
-    }
-    out.append(reps, std::move(planned.shares));
-  }
+  if (unstarted_ == 0) stats_.drain_steps += ureps;
 }
 
 void MultiResEngine::publish_stats() {
-  if (!obs::enabled()) return;
   SHAREDRES_OBS_COUNT("engine.multires.runs");
   SHAREDRES_OBS_COUNT_N("engine.multires.blocks", stats_.blocks);
   SHAREDRES_OBS_COUNT_N("engine.multires.steps", stats_.steps);
@@ -233,5 +142,7 @@ void MultiResEngine::publish_stats() {
   SHAREDRES_OBS_COUNT_N("engine.multires.drain_steps", stats_.drain_steps);
   stats_ = {};
 }
+
+template class EngineDriver<MultiResEngine, MultiResStep>;
 
 }  // namespace sharedres::core

@@ -20,11 +20,15 @@
 // schedules.
 //
 // The step split mirrors SosEngine/ImprovedEngine so the same tests drive
-// all three engines:
+// all three engines, and run() is their shared loop (core/engine_driver.hpp):
 //
 //   prepare_step()  — first-fit admissions over the unstarted list.
 //   plan()          — full-rate shares as a pure function of state.
 //   apply()         — execute the planned step once (or `reps` times).
+//
+// Work is counted in primary-axis resource units like the other engines:
+// job j starts with s_j = p_j · r_{j,0} and, granted exactly r_{j,0} every
+// step, finishes after exactly p_j steps.
 //
 // Every admission predicate compares per-axis resource against per-axis
 // capacity with no cross-axis mixing, so decisions are invariant under
@@ -39,6 +43,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/engine_driver.hpp"
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "core/types.hpp"
@@ -52,7 +57,7 @@ struct MultiResStep {
   std::vector<Assignment> shares;
 };
 
-class MultiResEngine {
+class MultiResEngine : public EngineDriver<MultiResEngine, MultiResStep> {
  public:
   struct Params {
     std::size_t machine_cap = 0;  ///< m: processors, bounds |running set|
@@ -65,46 +70,34 @@ class MultiResEngine {
   /// stay alive for the engine's lifetime.
   void reset(const Instance& instance, Params params);
 
-  [[nodiscard]] bool done() const { return remaining_jobs_ == 0; }
-  [[nodiscard]] Time now() const { return now_; }
-
   /// Admissions for the next step. Call once per time step, before plan().
   void prepare_step();
-
-  /// The step's resource assignment as a pure function of the prepared state.
-  [[nodiscard]] MultiResStep plan() const;
 
   /// As plan(), but reuses `out`'s share vector (the run() hot path).
   void plan_into(MultiResStep& out) const;
 
-  /// Apply `planned` for `reps` consecutive steps. Requires that no job would
-  /// finish strictly before step `reps` (violating it throws). Returns true
-  /// iff some job finished in the final step.
-  bool apply(const MultiResStep& planned, Time reps);
-
-  /// Run to completion, appending blocks to `out`. Strong exception
-  /// guarantee for `out`: if a step throws, `out` is rolled back to its
-  /// state at entry; the engine itself is then in an unspecified
-  /// (destroy-only) state.
-  void run(Schedule& out, bool fast_forward = true);
+  // run(out, fast_forward = true), apply(), plan(), done(), now(),
+  // instance(), remaining() and finished() come from EngineDriver. run()
+  // gives the strong guarantee for `out`; after a throw the engine is fit
+  // only for reset().
 
   // ---- introspection (tests, instrumentation) ----
 
-  [[nodiscard]] const Instance& instance() const { return *inst_; }
-  /// Remaining full-rate steps of job j (p_j at start, 0 when finished).
-  [[nodiscard]] Time remaining_steps(JobId j) const { return rem_steps_[j]; }
-  [[nodiscard]] bool finished(JobId j) const { return rem_steps_[j] == 0; }
   [[nodiscard]] const std::vector<JobId>& running() const { return active_; }
   /// Σ r_{j,k} over the running set for axis k.
   [[nodiscard]] Res used(std::size_t axis) const { return used_[axis]; }
 
  private:
+  friend class EngineDriver<MultiResEngine, MultiResStep>;
+  static constexpr const char* kName = "MultiResEngine";
+  static constexpr const char* kStepSite = "multires_engine.step";
+
   /// True iff job j fits beside the current running set on every axis.
   [[nodiscard]] bool fits(JobId j) const;
   void admit(JobId j);
   void finish_job(JobId j);
-  void run_loop(Schedule& out, bool fast_forward, MultiResStep& planned,
-                MultiResStep& again);
+  [[nodiscard]] std::size_t block_hint() const { return remaining_jobs_ + 1; }
+  void count_block(const MultiResStep& planned, Time reps);
   void publish_stats();
 
   /// Deterministic run statistics (metric catalog: DESIGN.md §9), flushed to
@@ -119,13 +112,14 @@ class MultiResEngine {
     std::uint64_t drain_steps = 0;         ///< steps with no unstarted jobs
   };
 
-  const Instance* inst_ = nullptr;
   Params params_;
   std::size_t axes_ = 1;
 
-  std::vector<Time> rem_steps_;  // remaining full-rate steps; 0 = finished
   std::vector<JobId> active_;    // running set, ascending job id, |·| ≤ m
   std::vector<Res> used_;        // per-axis Σ r_{j,k} over active_, size d
+  /// Some axis is used to capacity after this step's admissions (read in
+  /// prepare_step, before apply() finishes anyone; obs builds only).
+  bool saturated_ = false;
 
   // Intrusive doubly-linked list over the unstarted jobs in ascending id
   // order (= ascending primary requirement): O(1) removal on admission, and
@@ -135,11 +129,9 @@ class MultiResEngine {
   JobId head_unstarted_ = kNoJob;
   std::size_t unstarted_ = 0;
 
-  std::size_t remaining_jobs_ = 0;
-  Time now_ = 0;  // completed time steps
-
-  std::vector<JobId> finished_scratch_;  // apply()'s batched finish list
   RunStats stats_;
 };
+
+extern template class EngineDriver<MultiResEngine, MultiResStep>;
 
 }  // namespace sharedres::core

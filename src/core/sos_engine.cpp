@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <stdexcept>
 
 #include "obs/registry.hpp"
-#include "util/deadline.hpp"
-#include "util/failpoint.hpp"
 
 namespace sharedres::core {
 
@@ -27,12 +24,6 @@ namespace {
     if (a.share != reqs[a.job]) ++partial;
   }
   return partial <= 1;
-}
-
-// Internal invariant check: these fire only on engine bugs, never on user
-// input, but throwing keeps test failures informative.
-void ensure(bool cond, const char* msg) {
-  if (!cond) throw std::logic_error(std::string("SosEngine invariant: ") + msg);
 }
 
 // Extended gcd: returns g = gcd(a, b) and x with a·x ≡ g (mod b).
@@ -77,7 +68,7 @@ SosEngine::SosEngine(const Instance& instance, Params params) {
 }
 
 void SosEngine::reset(const Instance& instance, Params params) {
-  inst_ = &instance;
+  reset_work(instance);
   reqs_ = instance.requirements().data();
   totals_ = instance.total_requirements().data();
   params_ = params;
@@ -85,11 +76,6 @@ void SosEngine::reset(const Instance& instance, Params params) {
   ensure(params_.budget >= 1, "budget must be >= 1");
 
   const std::size_t n = instance.size();
-  rem_.resize(n);
-  // s_j was checked at Instance construction; this is a straight memcpy-able
-  // copy of the SoA lane instead of n checked multiplications.
-  std::copy_n(totals_, n, rem_.begin());
-
   head_ = n;
   tail_ = n + 1;
   next_.resize(n + 2);
@@ -104,13 +90,10 @@ void SosEngine::reset(const Instance& instance, Params params) {
   prev_[tail_] = last;
   next_[tail_] = tail_;
   prev_[head_] = head_;
-  remaining_jobs_ = n;
 
   wl_ = wr_ = kNoJob;
   wsize_ = 0;
   wreq_ = 0;
-  now_ = 0;
-  finished_scratch_.clear();
   stats_ = {};  // a prior run that threw may have left stats behind
 }
 
@@ -175,7 +158,6 @@ void SosEngine::add_right(JobId j) {
 }
 
 void SosEngine::finish_job(JobId j) {
-  ensure(rem_[j] == 0, "finish_job on unfinished job");
   // Remove from the window if it is a member (every scheduled job is: the
   // window is the contiguous list segment [wl_, wr_], so an id-range test
   // suffices for membership).
@@ -192,7 +174,6 @@ void SosEngine::finish_job(JobId j) {
   }
   next_[prev_[j]] = next_[j];
   prev_[next_[j]] = prev_[j];
-  --remaining_jobs_;
 }
 
 void SosEngine::prepare_step() {
@@ -231,12 +212,6 @@ void SosEngine::prepare_step() {
     ++hops;
   }
   if (obs::enabled()) stats_.window_hops += hops;
-}
-
-PlannedStep SosEngine::plan() const {
-  PlannedStep out;
-  plan_into(out);
-  return out;
 }
 
 void SosEngine::plan_into(PlannedStep& out) const {
@@ -314,27 +289,33 @@ void SosEngine::plan_into(PlannedStep& out) const {
 }
 
 bool SosEngine::apply(const PlannedStep& planned, Time reps) {
-  ensure(reps >= 1, "apply with reps < 1");
   if (planned.extra_job) {
     ensure(reps == 1, "extra-job steps cannot repeat");
     add_right(planned.shares.back().job);
   }
-  // Decrement every share first, then drop the finished jobs in one batch:
-  // the list/window surgery of finish_job stays off the decrement loop, and
-  // the window bounds are adjusted once per finisher, not interleaved with
-  // reads of rem_.
-  finished_scratch_.clear();
-  for (const Assignment& a : planned.shares) {
-    const Res total = util::mul_checked(a.share, reps);
-    ensure(rem_[a.job] >= total, "apply overshoots a job's remaining work");
-    ensure(reps == 1 || rem_[a.job] > util::mul_checked(a.share, reps - 1),
-           "apply: a job would finish strictly inside the block");
-    rem_[a.job] -= total;
-    if (rem_[a.job] == 0) finished_scratch_.push_back(a.job);
+  return EngineDriver::apply(planned, reps);
+}
+
+Time SosEngine::steps_until_change(const PlannedStep& steady) const {
+  Time until_change = EngineDriver::steps_until_change(steady);
+  // A steady light-case block also ends when the fractured job's remainder
+  // hits an exact multiple of its requirement: the job unfractures
+  // mid-stream and the case split flips (caught by the fuzz suite; see
+  // tests/test_fuzz.cpp).
+  if (steady.fractured) {
+    const JobId iota = *steady.fractured;
+    Res sigma = 0;
+    for (const Assignment& a : steady.shares) {
+      if (a.job == iota) sigma = a.share;
+    }
+    const Res q = rem_[iota] % req(iota);
+    ensure(q > 0 && sigma > 0, "steady block with unfractured iota");
+    if (sigma % req(iota) != 0) {
+      until_change =
+          std::min(until_change, first_unfracture_step(q, sigma, req(iota)));
+    }
   }
-  for (const JobId j : finished_scratch_) finish_job(j);
-  now_ += reps;
-  return !finished_scratch_.empty();
+  return until_change;
 }
 
 StepInfo SosEngine::make_info(const PlannedStep& planned,
@@ -365,31 +346,26 @@ StepInfo SosEngine::step() {
   return info;
 }
 
-void SosEngine::run(Schedule& out, bool fast_forward, StepObserver* observer) {
-  // Hot path: the two PlannedSteps are scratch buffers reused across every
-  // block, so a block costs exactly one share-vector allocation — the one
-  // that ends up stored in the schedule. StepInfo (which copies the share
-  // vector) is only materialized when an observer is attached.
-  PlannedStep planned;
-  PlannedStep again;
-  out.reserve_blocks(remaining_jobs_ / (params_.window_cap + 1) + 1);
-  // Strong exception guarantee for `out`: if any step throws (overflow,
-  // invariant breach, injected fault), every block this run() appended —
-  // including length merged into a pre-existing block — is rolled back, so
-  // no partially-emitted schedule is observable. The engine itself is left
-  // in an unspecified state; callers recover by constructing a fresh engine.
-  const Schedule::Mark mark = out.mark();
-  try {
-    run_loop(out, fast_forward, observer, planned, again);
-  } catch (...) {
-    out.rollback(mark);
-    throw;
+/// Per-block deterministic stats: structural facts of the emitted schedule,
+/// independent of threads and wall time.
+void SosEngine::count_block(const PlannedStep& planned, Time reps) {
+  const auto ureps = static_cast<std::uint64_t>(reps);
+  ++stats_.blocks;
+  stats_.steps += ureps;
+  if (planned.step_case == StepCase::kHeavy) {
+    stats_.case1_steps += ureps;
+  } else {
+    stats_.case2_steps += ureps;
+    if (light_step_fulfills_requirements(*this, planned)) {
+      stats_.full_requirement_steps += ureps;
+    }
   }
-  publish_stats();
+  stats_.fast_forward_steps += ureps - 1;
+  if (planned.fractured) ++stats_.fractured_handoffs;
+  if (planned.extra_job) ++stats_.extra_job_starts;
 }
 
 void SosEngine::publish_stats() {
-  if (!obs::enabled()) return;
   SHAREDRES_OBS_COUNT("engine.sos.runs");
   SHAREDRES_OBS_COUNT_N("engine.sos.window_hops", stats_.window_hops);
   SHAREDRES_OBS_COUNT_N("engine.sos.blocks", stats_.blocks);
@@ -407,85 +383,6 @@ void SosEngine::publish_stats() {
   stats_ = {};
 }
 
-void SosEngine::run_loop(Schedule& out, bool fast_forward,
-                         StepObserver* observer, PlannedStep& planned,
-                         PlannedStep& again) {
-  while (!done()) {
-    SHAREDRES_FAILPOINT("sos_engine.step");
-    util::deadline::check("sos_engine.step");
-    prepare_step();
-    plan_into(planned);
-    const Time first_step = now_ + 1;
-    StepInfo info;
-    if (observer != nullptr) info = make_info(planned, first_step);
-    const bool finished_any = apply(planned, 1);
-    Time reps = 1;
-
-    if (fast_forward && !finished_any && !planned.extra_job && !done()) {
-      // The window cannot have changed (no job finished, every member is now
-      // started), so only the fracture pattern can alter the plan. If the
-      // re-planned step is identical, it stays identical until the first job
-      // finishes (see DESIGN.md §4): extend up to just before that finish.
-      plan_into(again);
-      if (again.shares == planned.shares) {
-        Time until_change = std::numeric_limits<Time>::max();
-        for (const Assignment& a : planned.shares) {
-          until_change =
-              std::min(until_change, util::ceil_div(rem_[a.job], a.share));
-        }
-        // A steady light-case block also ends when the fractured job's
-        // remainder hits an exact multiple of its requirement: the job
-        // unfractures mid-stream and the case split flips (caught by the
-        // fuzz suite; see tests/test_fuzz.cpp).
-        if (again.fractured) {
-          const JobId iota = *again.fractured;
-          Res sigma = 0;
-          for (const Assignment& a : again.shares) {
-            if (a.job == iota) sigma = a.share;
-          }
-          const Res q = rem_[iota] % req(iota);
-          ensure(q > 0 && sigma > 0, "steady block with unfractured iota");
-          if (sigma % req(iota) != 0) {
-            until_change = std::min(
-                until_change, first_unfracture_step(q, sigma, req(iota)));
-          }
-        }
-        const Time extra = until_change - 1;
-        if (extra > 0) {
-          apply(again, extra);
-          reps += extra;
-        }
-      }
-    }
-    // Per-block deterministic stats (before the append below may move the
-    // share vector away): structural facts of the emitted schedule,
-    // independent of threads and wall time. Accumulated in plain fields;
-    // publish_stats() flushes once per run.
-    if (obs::enabled()) {
-      const auto ureps = static_cast<std::uint64_t>(reps);
-      ++stats_.blocks;
-      stats_.steps += ureps;
-      if (planned.step_case == StepCase::kHeavy) {
-        stats_.case1_steps += ureps;
-      } else {
-        stats_.case2_steps += ureps;
-        if (light_step_fulfills_requirements(*this, planned)) {
-          stats_.full_requirement_steps += ureps;
-        }
-      }
-      stats_.fast_forward_steps += ureps - 1;
-      if (planned.fractured) ++stats_.fractured_handoffs;
-      if (planned.extra_job) ++stats_.extra_job_starts;
-    }
-
-    if (observer != nullptr) {
-      info.repeat = reps;
-      out.append(reps, planned.shares);
-      observer->on_step(info);
-    } else {
-      out.append(reps, std::move(planned.shares));
-    }
-  }
-}
+template class EngineDriver<SosEngine, PlannedStep>;
 
 }  // namespace sharedres::core

@@ -12,16 +12,18 @@
 //   apply()         — execute the planned step once (or `reps` times when the
 //                     caller has established that the plan repeats).
 //
-// run() executes the whole schedule with the fast-forward optimization from
-// the proof of Theorem 3.3 (skip runs of identical steps), giving the stated
-// O((m+n)·n) running time. Stepwise execution (fast_forward = false) is the
-// pseudo-polynomial reference; both produce identical schedules.
+// run() (core/engine_driver.hpp) executes the whole schedule with the
+// fast-forward optimization from the proof of Theorem 3.3 (skip runs of
+// identical steps), giving the stated O((m+n)·n) running time. Stepwise
+// execution (fast_forward = false) is the pseudo-polynomial reference; both
+// produce identical schedules.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "core/engine_driver.hpp"
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "core/trace.hpp"
@@ -42,7 +44,7 @@ struct PlannedStep {
   std::optional<JobId> fractured;  ///< ι entering this step, if any
 };
 
-class SosEngine {
+class SosEngine : public EngineDriver<SosEngine, PlannedStep> {
  public:
   struct Params {
     std::size_t window_cap = 0;  ///< k: m−1 for Listing 1
@@ -72,41 +74,31 @@ class SosEngine {
   /// path. The instance must stay alive for the engine's lifetime.
   void reset(const Instance& instance, Params params);
 
-  [[nodiscard]] bool done() const { return remaining_jobs_ == 0; }
-  [[nodiscard]] Time now() const { return now_; }
-
   /// Listing 1 lines 2–5. Call once per time step, before plan().
   void prepare_step();
 
-  /// Listing 1 lines 7–20 as a pure function of the prepared state.
-  [[nodiscard]] PlannedStep plan() const;
-
-  /// As plan(), but reuses `out`'s share vector instead of allocating a new
-  /// one — the hot-path form used by run(), which recycles two scratch
+  /// Listing 1 lines 7–20 as a pure function of the prepared state; plan()
+  /// returns the same in a fresh PlannedStep. This form reuses `out`'s share
+  /// vector — the hot path used by run(), which recycles two scratch
   /// PlannedSteps across all apply(reps) repetitions of the block loop.
   void plan_into(PlannedStep& out) const;
 
-  /// Apply `planned` for `reps` consecutive steps. Requires that no job would
-  /// finish strictly before step `reps` (callers establish this; violating it
-  /// throws). Returns true iff some job finished in the final step.
+  /// Apply `planned` for `reps` consecutive steps, starting the Case-2 extra
+  /// job first. Requires that no job would finish strictly before step
+  /// `reps` (callers establish this; violating it throws). Returns true iff
+  /// some job finished in the final step.
   bool apply(const PlannedStep& planned, Time reps);
 
   /// prepare + plan + apply(1); returns the emitted StepInfo.
   StepInfo step();
 
-  /// Run to completion, appending blocks to `out` and notifying `observer`
-  /// (may be null). With fast_forward, runs of identical steps are emitted as
-  /// single blocks. Strong exception guarantee for `out`: if a step throws,
-  /// `out` is rolled back to its state at entry; the engine itself is then in
-  /// an unspecified (destroy-only) state.
-  void run(Schedule& out, bool fast_forward = true,
-           StepObserver* observer = nullptr);
+  // run(out, fast_forward = true[, observer]), done(), now(), plan(),
+  // instance(), remaining() and finished() come from EngineDriver. run()
+  // gives the strong guarantee for `out`; after a throw the engine is fit
+  // only for reset().
 
   // ---- introspection (tests, instrumentation) ----
 
-  [[nodiscard]] const Instance& instance() const { return *inst_; }
-  [[nodiscard]] Res remaining(JobId j) const { return rem_[j]; }
-  [[nodiscard]] bool finished(JobId j) const { return rem_[j] == 0; }
   [[nodiscard]] std::vector<JobId> window_members() const;
   /// Snapshot suitable for check_k_maximal().
   [[nodiscard]] WindowSnapshot snapshot() const;
@@ -116,6 +108,10 @@ class SosEngine {
   [[nodiscard]] Res window_requirement() const { return wreq_; }
 
  private:
+  friend class EngineDriver<SosEngine, PlannedStep>;
+  static constexpr const char* kName = "SosEngine";
+  static constexpr const char* kStepSite = "sos_engine.step";
+
   // Hot-path job attributes through the Instance's SoA views: one 8-byte
   // contiguous lane per attribute instead of a strided Job-struct load.
   [[nodiscard]] Res req(JobId j) const { return reqs_[j]; }
@@ -123,9 +119,17 @@ class SosEngine {
   [[nodiscard]] JobId find_fractured() const;
   void add_right(JobId j);
   void finish_job(JobId j);
+  [[nodiscard]] std::size_t block_hint() const {
+    return remaining_jobs_ / (params_.window_cap + 1) + 1;
+  }
+  /// An extra-job step changes the window, so it never repeats.
+  [[nodiscard]] static bool repeatable(const PlannedStep& planned) {
+    return !planned.extra_job;
+  }
+  /// The driver's bound, or earlier when the fractured job unfractures.
+  [[nodiscard]] Time steps_until_change(const PlannedStep& steady) const;
   StepInfo make_info(const PlannedStep& planned, Time first_step) const;
-  void run_loop(Schedule& out, bool fast_forward, StepObserver* observer,
-                PlannedStep& planned, PlannedStep& again);
+  void count_block(const PlannedStep& planned, Time reps);
   void publish_stats();
 
   /// Deterministic run statistics (metric catalog: DESIGN.md §9). The hot
@@ -149,12 +153,10 @@ class SosEngine {
     std::uint64_t extra_job_starts = 0;
   };
 
-  const Instance* inst_;
   const Res* reqs_ = nullptr;    // inst_->requirements().data()
   const Res* totals_ = nullptr;  // inst_->total_requirements().data()
   Params params_;
 
-  std::vector<Res> rem_;       // s_j(t−1); 0 = finished
   std::vector<JobId> next_;    // linked list over unfinished jobs + sentinels
   std::vector<JobId> prev_;
   JobId head_;                 // sentinel before the first unfinished job
@@ -165,11 +167,9 @@ class SosEngine {
   std::size_t wsize_ = 0;      // |W|
   Res wreq_ = 0;               // r(W)
 
-  std::size_t remaining_jobs_ = 0;
-  Time now_ = 0;               // completed time steps
-
-  std::vector<JobId> finished_scratch_;  // apply()'s batched finish list
   RunStats stats_;
 };
+
+extern template class EngineDriver<SosEngine, PlannedStep>;
 
 }  // namespace sharedres::core

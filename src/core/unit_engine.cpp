@@ -4,8 +4,6 @@
 #include <stdexcept>
 
 #include "obs/registry.hpp"
-#include "util/deadline.hpp"
-#include "util/failpoint.hpp"
 
 namespace sharedres::core {
 
@@ -209,6 +207,34 @@ StepInfo UnitEngine::execute(const StepPlan& plan) {
   return info;
 }
 
+StepInfo UnitEngine::execute_solo(const StepPlan& plan) {
+  const JobId j = plan.wr;
+  const Time reps = key(j) / capacity_;  // steps at full capacity
+  const Res leftover = key(j) - reps * capacity_;
+  StepInfo info;
+  info.first_step = now_ + 1;
+  info.repeat = reps;
+  info.shares = {{j, capacity_}};
+  info.window_size = 1;
+  info.window_requirement = plan.wkey;
+  info.left_border = prev_[j] == head_;
+  info.right_border = next_[j] == tail_;
+  info.step_case = StepCase::kHeavy;
+  if (iota_ != kNoJob) info.fractured = iota_;
+  info.resource_used = capacity_;
+  rem_[j] -= reps * capacity_;
+  now_ += reps;
+  if (leftover == 0) {
+    cursor_ = prev_[j];  // full completion: resume here
+    finish(j);
+  } else {
+    iota_ = j;
+    reposition_started(j);
+  }
+  if (obs::enabled()) ++stats_.fast_forward_blocks;
+  return info;
+}
+
 StepInfo UnitEngine::step() { return execute(build_window()); }
 
 /// Deterministic per-block stats; mirrors the SosEngine catalog under the
@@ -216,8 +242,7 @@ StepInfo UnitEngine::step() { return execute(build_window()); }
 /// *current* key, so at most the started job ι falls short of its static
 /// requirement — the unit-case reading of the Theorem 3.3 dichotomy.
 /// Accumulated in plain fields; publish_stats() flushes once per run.
-void UnitEngine::record_block(const StepInfo& info) {
-  if (!obs::enabled()) return;
+void UnitEngine::count_block(const StepInfo& info) {
   const auto ureps = static_cast<std::uint64_t>(info.repeat);
   ++stats_.blocks;
   stats_.steps += ureps;
@@ -234,7 +259,6 @@ void UnitEngine::record_block(const StepInfo& info) {
 }
 
 void UnitEngine::publish_stats() {
-  if (!obs::enabled()) return;
   SHAREDRES_OBS_COUNT("engine.unit.runs");
   SHAREDRES_OBS_COUNT_N("engine.unit.iota_resumes", stats_.iota_resumes);
   SHAREDRES_OBS_COUNT_N("engine.unit.cursor_resumes", stats_.cursor_resumes);
@@ -256,73 +280,14 @@ void UnitEngine::publish_stats() {
 }
 
 void UnitEngine::run(Schedule& out, bool fast_forward, StepObserver* observer) {
-  out.reserve_blocks(remaining_jobs_ / m_ + 1);
-  // Strong exception guarantee for `out`; see SosEngine::run. Runs that
-  // throw publish no stats either.
-  const Schedule::Mark mark = out.mark();
-  try {
-    run_loop(out, fast_forward, observer);
-  } catch (...) {
-    out.rollback(mark);
-    throw;
-  }
-  publish_stats();
-}
-
-void UnitEngine::run_loop(Schedule& out, bool fast_forward,
-                          StepObserver* observer) {
-  while (!done()) {
-    SHAREDRES_FAILPOINT("unit_engine.step");
-    util::deadline::check("unit_engine.step");
+  run_blocks(*this, out, remaining_jobs_ / m_ + 1, kStepSite, [&] {
     const StepPlan plan = build_window();
-
-    // Fast-forward: a solo window whose job absorbs the whole capacity
-    // repeats identically until the job's remainder drops below C.
-    if (fast_forward && plan.wsize == 1 && plan.max_share == capacity_ &&
-        key(plan.wr) > capacity_) {
-      const JobId j = plan.wr;
-      const Time reps = key(j) / capacity_;  // steps at full capacity
-      const Res leftover = key(j) - reps * capacity_;
-      StepInfo info;
-      info.first_step = now_ + 1;
-      info.repeat = reps;
-      info.shares = {{j, capacity_}};
-      info.window_size = 1;
-      info.window_requirement = plan.wkey;
-      info.left_border = prev_[j] == head_;
-      info.right_border = next_[j] == tail_;
-      info.step_case = StepCase::kHeavy;
-      if (iota_ != kNoJob) info.fractured = iota_;
-      info.resource_used = capacity_;
-      rem_[j] -= reps * capacity_;
-      now_ += reps;
-      if (leftover == 0) {
-        cursor_ = prev_[j];  // full completion: resume here
-        finish(j);
-      } else {
-        iota_ = j;
-        reposition_started(j);
-      }
-      if (obs::enabled()) ++stats_.fast_forward_blocks;
-      record_block(info);
-      if (observer != nullptr) {
-        out.append(reps, info.shares);
-        observer->on_step(info);
-      } else {
-        out.append(reps, std::move(info.shares));
-      }
-      continue;
-    }
-
-    StepInfo info = execute(plan);
-    record_block(info);
-    if (observer != nullptr) {
-      out.append(1, info.shares);
-      observer->on_step(info);
-    } else {
-      out.append(1, std::move(info.shares));
-    }
-  }
+    StepInfo info = fast_forward && solo_run(plan) ? execute_solo(plan)
+                                                   : execute(plan);
+    if (obs::enabled()) count_block(info);
+    emit_block(out, info.repeat, info.shares, observer, info);
+  });
+  if (obs::enabled()) publish_stats();
 }
 
 }  // namespace sharedres::core

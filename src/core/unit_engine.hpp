@@ -10,12 +10,15 @@
 // The engine keeps the unfinished jobs in a doubly-linked list sorted by
 // *current* requirement (r_j for unstarted jobs, s_ι(t−1) for ι) and rebuilds
 // the window around ι every step: all window jobs except the rightmost finish
-// within the step, the rightmost becomes the new ι.
+// within the step, the rightmost becomes the new ι. Its window walk is its
+// own; run() shares the other engines' shell (run_blocks, emit_block in
+// core/engine_driver.hpp).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "core/engine_driver.hpp"
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "core/trace.hpp"
@@ -45,7 +48,7 @@ class UnitEngine {
   /// Run to completion. fast_forward collapses the long solo runs of a
   /// single high-requirement job into one block. Strong exception guarantee
   /// for `out`: if a step throws, `out` is rolled back to its state at
-  /// entry; the engine itself is then in an unspecified (destroy-only) state.
+  /// entry, and the engine is fit only for reset() or destruction.
   void run(Schedule& out, bool fast_forward = true,
            StepObserver* observer = nullptr);
 
@@ -64,11 +67,20 @@ class UnitEngine {
     Res max_share = 0;               // share granted to wr
   };
 
+  static constexpr const char* kStepSite = "unit_engine.step";
+
   [[nodiscard]] Res key(JobId j) const { return rem_[j]; }
-  void run_loop(Schedule& out, bool fast_forward, StepObserver* observer);
   [[nodiscard]] StepPlan build_window() const;
   StepInfo execute(const StepPlan& plan);
-  void record_block(const StepInfo& info);
+  /// A solo window whose job absorbs the whole capacity repeats identically
+  /// until the job's remainder drops below C.
+  [[nodiscard]] bool solo_run(const StepPlan& plan) const {
+    return plan.wsize == 1 && plan.max_share == capacity_ &&
+           key(plan.wr) > capacity_;
+  }
+  /// Fast-forward a solo_run() window as one block.
+  StepInfo execute_solo(const StepPlan& plan);
+  void count_block(const StepInfo& info);
   void publish_stats();
   void unlink(JobId j);
   void finish(JobId j);

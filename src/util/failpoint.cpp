@@ -15,18 +15,22 @@ namespace {
 
 /// Every compiled-in SHAREDRES_FAILPOINT site, for the diagnostic catalog
 /// (an armed typo in SHAREDRES_FAILPOINTS silently never fires; `failpoints
-/// --list` makes the mismatch visible). Keep in sync with DESIGN.md §8/§13.
+/// --list` makes the mismatch visible). Keep in sync with DESIGN.md §8;
+/// scripts/check_failpoint_catalog.sh (a CI step) fails on a site in src/
+/// that is missing here.
 constexpr const char* kKnownSites[] = {
     "deadline.check",           // util/deadline.cpp — injected expiry
+    "improved_engine.step",     // core/engine_driver.hpp — block loop
     "io.next_line",             // io/text_io.cpp — mid-file read fault
     "io.open_in",               // io/text_io.cpp — open fault
+    "multires_engine.step",     // core/engine_driver.hpp — block loop
     "parallel.worker",          // util/parallel.cpp — sweep worker entry
     "pool.task",                // util/parallel.cpp — WorkerPool task entry
     "service.admit",            // service/service.cpp — admission path
     "service.emit",             // service/service.cpp — response emission
     "service.journal_append",   // service/journal.cpp — journal write
-    "sos_engine.step",          // core/sos_engine.cpp — step loop
-    "unit_engine.step",         // core/unit_engine.cpp — step loop
+    "sos_engine.step",          // core/engine_driver.hpp — block loop
+    "unit_engine.step",         // core/engine_driver.hpp — block loop
 };
 
 enum class Mode { kOneShot, kEvery, kProb };

@@ -28,9 +28,9 @@
 // queryable at runtime — catalog() / `sharedres_cli failpoints --list` — so
 // a soak run can verify what is armed and how often each site fired. Sites
 // sit on untrusted-input and mid-run paths: text IO readers, util::parallel
-// workers, both engine step loops, the deadline check, and the service's
-// admission/journal/emit path — the places where a throw must not corrupt
-// observable state.
+// workers, every engine's block loop (core::run_blocks), the deadline check,
+// and the service's admission/journal/emit path — the places where a throw
+// must not corrupt observable state.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -30,6 +32,7 @@
 #include "core/validator.hpp"
 #include "io/text_io.hpp"
 #include "result_record_reference.hpp"
+#include "util/deadline.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "workloads/multires_generators.hpp"
@@ -894,27 +897,109 @@ TEST(BatchDeadline, DefaultBudgetAppliesOnlyToRecordsWithoutTheirOwn) {
   EXPECT_NE(out[1].find("\"ok\":true"), std::string::npos);
 }
 
-TEST(BatchDeadline, ScratchSurvivesAnAbortedSolve) {
-  // Record 1 aborts mid-run; record 2 (same worker, same scratch) must still
-  // produce output byte-identical to a fresh single-record run — the
-  // engines' strong guarantee + reset() rebind contract.
-  const std::string doomed_line = format_instance_record(
-      workloads::uniform_instance(config(5, /*jobs=*/150)), "doomed");
-  util::Json doomed = util::Json::parse(doomed_line);
-  doomed.emplace("deadline_steps", 2);
-  const std::string healthy = format_instance_record(
-      workloads::uniform_instance(config(6, /*jobs=*/20)), "after");
+/// Step-loop iterations `solve` runs: the count a "deadline_steps" budget
+/// is charged against.
+std::uint64_t deadline_steps_of(const std::function<void()>& solve) {
+  const util::deadline::Scope scope({});
+  solve();
+  return scope.steps();
+}
 
-  BatchOptions options;
-  options.threads = 1;
-  options.emit_schedules = true;
-  const std::string paired = run({doomed.dump(), healthy}, options).first;
-  const std::string alone = run({healthy}, options).first;
-  // The healthy record's line (index differs, so compare from the id on).
-  const std::string paired_line = output_lines(paired).at(1);
-  const std::string alone_line = output_lines(alone).at(0);
-  EXPECT_EQ(paired_line.substr(paired_line.find("\"id\"")),
-            alone_line.substr(alone_line.find("\"id\"")));
+TEST(BatchDeadline, ScratchSurvivesAnAbortedSolve) {
+  // For every engine-backed row of the solver table: record 1 aborts
+  // mid-run; record 2 (same worker, same scratch) must still produce output
+  // byte-identical to a fresh single-record run — the engines' strong
+  // guarantee + reset() rebind contract.
+  struct AbortCase {
+    std::string where;  ///< the step loop the budget must expire in
+    core::Instance doomed;
+    std::uint64_t budget;
+    core::Instance healthy;
+  };
+  const core::Instance general =
+      workloads::uniform_instance(config(5, /*jobs=*/150));
+  const core::Instance general_after =
+      workloads::uniform_instance(config(6, /*jobs=*/20));
+  const core::Instance unit =
+      workloads::uniform_instance(config(5, /*jobs=*/150, /*max_size=*/1));
+  const core::Instance unit_after =
+      workloads::uniform_instance(config(6, /*jobs=*/20, /*max_size=*/1));
+  workloads::MultiResConfig multi_cfg;
+  multi_cfg.machines = 4;
+  multi_cfg.max_size = 3;
+  multi_cfg.jobs = 150;
+  multi_cfg.seed = 5;
+  const core::Instance multi =
+      workloads::correlated_multires_instance(multi_cfg);
+  multi_cfg.jobs = 20;
+  multi_cfg.seed = 6;
+  const core::Instance multi_after =
+      workloads::correlated_multires_instance(multi_cfg);
+
+  // The improved portfolio runs the balanced engine, then the window
+  // engine, under one budget: abort once in each.
+  const std::uint64_t balanced_steps = deadline_steps_of([&] {
+    core::ImprovedEngine engine(
+        general, {.machine_cap = 4, .budget = general.capacity()});
+    core::Schedule out;
+    engine.run(out);
+  });
+  const std::uint64_t window_steps =
+      deadline_steps_of([&] { (void)core::schedule_sos(general); });
+  ASSERT_GE(balanced_steps, 2u);
+  ASSERT_GE(window_steps, 2u);
+
+  const std::map<std::string, std::vector<AbortCase>> cases = {
+      {"window", {{"sos_engine.step", general, 2, general_after}}},
+      {"unit", {{"unit_engine.step", unit, 2, unit_after}}},
+      {"improved",
+       {{"improved_engine.step", general, balanced_steps / 2, general_after},
+        {"sos_engine.step", general, balanced_steps + window_steps / 2,
+         general_after}}},
+      {"multires",
+       {{"sos_engine.step", general, 2, general_after},
+        {"multires_engine.step", multi, 2, multi_after}}},
+  };
+
+  std::size_t covered = 0;
+  for (const Solver& solver : solvers()) {
+    const std::string name(solver.name);
+    const auto row = cases.find(name);
+    if (row == cases.end()) {
+      // The baselines keep no engine state (batch/solver.cpp).
+      EXPECT_TRUE(name == "gg" || name == "equalsplit" ||
+                  name == "sequential")
+          << "no aborted-solve case for engine-backed row '" << name << "'";
+      continue;
+    }
+    for (const AbortCase& c : row->second) {
+      SCOPED_TRACE(name + ", abort in " + c.where);
+      util::Json doomed = util::Json::parse(
+          format_instance_record(c.doomed, "doomed"));
+      doomed.emplace("deadline_steps", c.budget);
+      const std::string healthy = format_instance_record(c.healthy, "after");
+
+      BatchOptions options;
+      options.algorithm = name;
+      options.threads = 1;
+      options.emit_schedules = true;
+      const std::vector<std::string> paired =
+          output_lines(run({doomed.dump(), healthy}, options).first);
+      const std::vector<std::string> alone =
+          output_lines(run({healthy}, options).first);
+      EXPECT_NE(paired.at(0).find("deadline exceeded at '" + c.where + "'"),
+                std::string::npos)
+          << paired.at(0);
+      // The healthy record's line (index differs, so compare from the id on).
+      const std::string& paired_line = paired.at(1);
+      const std::string& alone_line = alone.at(0);
+      EXPECT_NE(paired_line.find("\"ok\":true"), std::string::npos);
+      EXPECT_EQ(paired_line.substr(paired_line.find("\"id\"")),
+                alone_line.substr(alone_line.find("\"id\"")));
+      ++covered;
+    }
+  }
+  EXPECT_EQ(covered, 6u);
 }
 
 TEST(BatchDeadline, NegativeAndMalformedDeadlineFieldsAreTypedErrors) {

@@ -219,9 +219,9 @@ TEST(Failpoint, CatalogListsKnownSitesAndArmedModes) {
     return fp::SiteInfo{};
   };
   for (const char* site :
-       {"deadline.check", "io.next_line", "pool.task", "service.admit",
-        "service.emit", "service.journal_append", "sos_engine.step",
-        "unit_engine.step"}) {
+       {"deadline.check", "improved_engine.step", "io.next_line",
+        "multires_engine.step", "pool.task", "service.admit", "service.emit",
+        "service.journal_append", "sos_engine.step", "unit_engine.step"}) {
     EXPECT_FALSE(find(site).site.empty()) << site << " missing from catalog";
   }
   EXPECT_TRUE(find("sos_engine.step").armed);
