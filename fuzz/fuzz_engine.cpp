@@ -6,7 +6,9 @@
 // each instance the harness cross-checks schedule_sos (and, when all sizes
 // are 1, schedule_sos_unit) against two independent oracles:
 //
-//   * the validator: the emitted schedule must satisfy V1–V5 exactly;
+//   * the validator: the emitted schedule must satisfy V1–V5 exactly, by
+//     core::validate and by the step-by-step reference
+//     (tests/validator_reference.hpp);
 //   * the lower bound: makespan ≥ lower_bounds(inst).combined().
 //
 // schedule_improved runs through the same two oracles plus a third,
@@ -24,6 +26,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "../tests/validator_reference.hpp"
 #include "core/improved_scheduler.hpp"
 #include "core/instance.hpp"
 #include "core/lower_bounds.hpp"
@@ -44,6 +47,12 @@ void cross_check(const char* engine, const sharedres::core::Instance& inst,
   if (!result.ok) {
     std::fprintf(stderr, "fuzz_engine: %s: infeasible schedule: %s\n", engine,
                  result.error.c_str());
+    std::abort();
+  }
+  const auto verdict = sharedres::core::reference::check(inst, sched);
+  if (!verdict.ok) {
+    std::fprintf(stderr, "fuzz_engine: %s: the reference rejects: %s\n",
+                 engine, verdict.reason.c_str());
     std::abort();
   }
   if (!inst.empty() && sched.makespan() < lower_bound) {

@@ -7,7 +7,8 @@
 // independent oracles:
 //
 //   * the validator: the emitted schedule must satisfy V1–V5 exactly,
-//     including the per-axis V3 checks;
+//     including the per-axis V3 checks, by core::validate and by the
+//     step-by-step reference (tests/validator_reference.hpp);
 //   * the generalized lower bound: makespan ≥ lower_bounds(inst).combined();
 //   * the engine contract: the stepwise (fast_forward = false) run must
 //     produce the identical makespan and credit vector.
@@ -25,6 +26,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "../tests/validator_reference.hpp"
 #include "cache/canonical.hpp"
 #include "core/instance.hpp"
 #include "core/lower_bounds.hpp"
@@ -72,6 +74,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   if (!result.ok) {
     std::fprintf(stderr, "fuzz_multires: infeasible schedule: %s\n",
                  result.error.c_str());
+    std::abort();
+  }
+  const auto verdict = core::reference::check(inst, fast);
+  if (!verdict.ok) {
+    std::fprintf(stderr, "fuzz_multires: the reference rejects: %s\n",
+                 verdict.reason.c_str());
     std::abort();
   }
   const core::Time bound = core::lower_bounds(inst).combined();

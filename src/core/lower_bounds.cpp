@@ -23,10 +23,16 @@ LowerBounds lower_bounds(const Instance& instance) {
   lb.resource_exact = util::Rational(instance.total_requirement(), capacity);
   lb.volume_exact = util::Rational(instance.total_size(), m);
 
-  for (const Job& job : instance.jobs()) {
-    const Res intake = std::min(job.requirement, capacity);
-    lb.longest_job =
-        std::max(lb.longest_job, util::ceil_div(job.total_requirement(), intake));
+  // A job with r_j ≤ C runs at its full requirement and needs exactly p_j
+  // steps; only one with r_j > C needs the division ⌈s_j / C⌉.
+  const std::vector<Res>& requirements = instance.requirements();
+  const std::vector<Res>& sizes = instance.sizes();
+  const std::vector<Res>& totals = instance.total_requirements();
+  for (std::size_t j = 0; j < instance.size(); ++j) {
+    lb.longest_job = std::max(lb.longest_job,
+                              requirements[j] <= capacity
+                                  ? sizes[j]
+                                  : util::ceil_div(totals[j], capacity));
   }
 
   // d-resource generalization: every axis yields the same two bound shapes
@@ -35,7 +41,8 @@ LowerBounds lower_bounds(const Instance& instance) {
   // at ≤ C_k per step, and one job's per-step axis-k intake is capped by
   // min(r_{j,k}, C_k)). The maxima over axes are still valid lower bounds,
   // and the k = 0 terms are exactly the classic values, so at d = 1 nothing
-  // below runs and the bounds reduce to the 1-resource ones.
+  // below runs and the bounds reduce to the 1-resource ones. A job with
+  // r_{j,k} ≤ C_k adds p_j, which the primary axis already counted.
   for (std::size_t k = 1; k < instance.resource_count(); ++k) {
     const Res axis_total = instance.axis_total_requirement(k);
     const Res axis_cap = instance.capacity(k);
@@ -43,12 +50,11 @@ LowerBounds lower_bounds(const Instance& instance) {
     lb.resource_exact =
         std::max(lb.resource_exact, util::Rational(axis_total, axis_cap));
     const Res* reqs = instance.axis_requirements(k);
-    const std::vector<Res>& sizes = instance.sizes();
     for (std::size_t j = 0; j < instance.size(); ++j) {
-      const Res intake = std::min(reqs[j], axis_cap);
+      if (reqs[j] <= axis_cap) continue;
       lb.longest_job = std::max(
           lb.longest_job,
-          util::ceil_div(util::mul_checked(sizes[j], reqs[j]), intake));
+          util::ceil_div(util::mul_checked(sizes[j], reqs[j]), axis_cap));
     }
   }
   return lb;

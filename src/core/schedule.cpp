@@ -8,6 +8,10 @@ namespace sharedres::core {
 
 void Schedule::append(Time length, std::vector<Assignment> assignments) {
   if (length <= 0) throw std::invalid_argument("Schedule::append: length <= 0");
+  // Checked before anything changes, so an OverflowError leaves the schedule
+  // as it was. A merged block is never longer than the new makespan, so its
+  // length fits whenever the makespan does.
+  const Time makespan = util::add_checked(makespan_, length);
   SHAREDRES_OBS_COUNT("schedule.blocks_appended");
   if (!blocks_.empty() && blocks_.back().assignments == assignments) {
     blocks_.back().length += length;
@@ -15,7 +19,7 @@ void Schedule::append(Time length, std::vector<Assignment> assignments) {
   } else {
     blocks_.push_back(Block{length, std::move(assignments)});
   }
-  makespan_ += length;
+  makespan_ = makespan;
 }
 
 Schedule::Mark Schedule::mark() const {

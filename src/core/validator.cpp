@@ -1,6 +1,7 @@
 #include "core/validator.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -29,6 +30,20 @@ const char* to_string(ViolationCode code) {
 
 namespace {
 
+/// Side-axis consumption ⌈share · r_{j,k} / r_{j,0}⌉ (validator.hpp V3) of a
+/// positive share, in 128 bits: the product can pass 64 bits while the
+/// consumption fits. It is at most r_{j,k} when share ≤ r_{j,0}.
+util::i128 side_consumption(Res share, Res axis_requirement,
+                            Res primary_requirement) {
+  Res product = 0;
+  if (!__builtin_mul_overflow(share, axis_requirement, &product)) {
+    return util::ceil_div(product, primary_requirement);
+  }
+  return (static_cast<util::i128>(share) * axis_requirement +
+          primary_requirement - 1) /
+         primary_requirement;
+}
+
 /// Bounded violation sink shared by both validation modes.
 class Sink {
  public:
@@ -55,36 +70,42 @@ class Sink {
 /// One pass over the schedule, recording violations into `sink`. The scan
 /// continues past defects (skipping only bookkeeping the defect makes
 /// meaningless, e.g. credit for an invalid job id) so one run attributes
-/// every independent problem.
+/// every independent problem. validate() stops it at the first.
+///
+/// validate() runs on every record `batch` and `serve` solve, and those
+/// schedules are feasible, so the scan is written for that path: it
+/// allocates only its per-job vector, tests overflow with
+/// `__builtin_*_overflow` instead of catching util::OverflowError, and
+/// marks every violation branch [[unlikely]], so the formatting code stays
+/// out of the loop and its registers.
 void scan(const Instance& instance, const Schedule& schedule, Sink& sink) {
   const std::size_t n = instance.size();
   const Res capacity = instance.capacity();
   const auto m = static_cast<std::size_t>(instance.machines());
   const std::size_t axes = instance.resource_count();
+  const Res* requirement = instance.requirements().data();
 
-  // Per-axis consumption accumulators for the d-resource generalization
-  // (axis k ≥ 1 of V3); untouched on classic 1-resource instances.
-  std::vector<Res> axis_used(axes > 1 ? axes - 1 : 0);
-  std::vector<bool> axis_overflowed(axis_used.size());
-
-  // Per job: block-index interval of presence and accumulated credit.
+  // Per job: the last block it ran in (kUnseen: none yet) and the units
+  // credited so far, with a flag once that sum passes 64 bits.
+  struct Track {
+    std::size_t last_block;
+    Res credit;
+    bool overflowed;
+  };
   constexpr std::size_t kUnseen = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> first_block(n, kUnseen);
-  std::vector<std::size_t> last_block(n, kUnseen);
-  std::vector<Res> credit(n, 0);
-  std::vector<bool> credit_overflowed(n, false);
+  std::vector<Track> track(n, Track{kUnseen, 0, false});
 
   const auto& blocks = schedule.blocks();
   Time step = 1;  // 1-based first step of the current block
   for (std::size_t bi = 0; bi < blocks.size(); ++bi) {
     const Block& b = blocks[bi];
-    if (b.length <= 0) {
+    if (b.length <= 0) [[unlikely]] {
       if (!sink.add({ViolationCode::kNonPositiveBlockLength, step, bi, kNoJob,
                      -1, "block with non-positive length"})) {
         return;
       }
     }
-    if (b.assignments.size() > m) {
+    if (b.assignments.size() > m) [[unlikely]] {
       std::ostringstream os;
       os << "block " << bi << " runs " << b.assignments.size() << " jobs > m="
          << m;
@@ -93,90 +114,72 @@ void scan(const Instance& instance, const Schedule& schedule, Sink& sink) {
         return;
       }
     }
+    // A share sum past 64 bits is flagged and reported as overuse below.
     Res used = 0;
     bool used_overflowed = false;
-    std::fill(axis_used.begin(), axis_used.end(), Res{0});
-    std::fill(axis_overflowed.begin(), axis_overflowed.end(), false);
-    for (std::size_t slot = 0; slot < b.assignments.size(); ++slot) {
-      const Assignment& a = b.assignments[slot];
-      const int machine = static_cast<int>(slot);
-      if (a.job >= n) {
-        if (!sink.add({ViolationCode::kInvalidJobId, step, bi, kNoJob, machine,
-                       "assignment with invalid job id"})) {
+    for (const Assignment& a : b.assignments) {
+      // The assignment's slot, wanted only by a violation: the loop keeps no
+      // index of its own.
+      const auto machine = [&] {
+        return static_cast<int>(&a - b.assignments.data());
+      };
+      if (a.job >= n) [[unlikely]] {
+        if (!sink.add({ViolationCode::kInvalidJobId, step, bi, kNoJob,
+                       machine(), "assignment with invalid job id"})) {
           return;
         }
         continue;  // no job to attribute shares or credit to
       }
-      const Job& job = instance.job(a.job);
-      if (a.share <= 0) {
+      const Res r = requirement[a.job];
+      if (a.share <= 0) [[unlikely]] {
         if (!sink.add({ViolationCode::kNonPositiveShare, step, bi, a.job,
-                       machine, "assignment with non-positive share"})) {
+                       machine(), "assignment with non-positive share"})) {
           return;
         }
       }
-      if (a.share > job.requirement) {
+      if (a.share > r) [[unlikely]] {
         std::ostringstream os;
         os << "job " << a.job << " granted share " << a.share
-           << " above its requirement " << job.requirement;
+           << " above its requirement " << r;
         if (!sink.add({ViolationCode::kShareAboveRequirement, step, bi, a.job,
-                       machine, os.str()})) {
+                       machine(), os.str()})) {
           return;
         }
       }
-      if (a.share > capacity) {
+      if (a.share > capacity) [[unlikely]] {
         if (!sink.add({ViolationCode::kShareAboveCapacity, step, bi, a.job,
-                       machine, "share exceeds resource capacity"})) {
+                       machine(), "share exceeds resource capacity"})) {
           return;
         }
       }
-      try {
-        used = util::add_checked(used, a.share);
-      } catch (const util::OverflowError&) {
-        used_overflowed = true;
-      }
-      if (axes > 1 && a.share > 0) {
-        // Side-axis consumption ⌈share · r_{j,k} / r_{j,0}⌉ (validator.hpp
-        // V3). Adversarial magnitudes overflow the product; flag per axis
-        // and report overuse below, mirroring the primary-axis handling.
-        for (std::size_t k = 1; k < axes; ++k) {
-          try {
-            const Res eaten = util::ceil_div(
-                util::mul_checked(a.share, instance.requirement(a.job, k)),
-                job.requirement);
-            axis_used[k - 1] = util::add_checked(axis_used[k - 1], eaten);
-          } catch (const util::OverflowError&) {
-            axis_overflowed[k - 1] = true;
-          }
-        }
-      }
+      if (__builtin_add_overflow(used, a.share, &used)) used_overflowed = true;
 
-      if (first_block[a.job] == kUnseen) {
-        first_block[a.job] = bi;
-      } else if (last_block[a.job] == bi) {
+      // A job seen before may only have run in the previous block: the same
+      // block is a duplicate, an earlier one a preemption.
+      Track& t = track[a.job];
+      if (t.last_block != kUnseen && t.last_block + 1 != bi) [[unlikely]] {
         std::ostringstream os;
-        os << "job " << a.job << " scheduled twice in block " << bi;
-        if (!sink.add({ViolationCode::kDuplicateJob, step, bi, a.job, machine,
-                       os.str()})) {
-          return;
+        const bool twice = t.last_block == bi;
+        if (twice) {
+          os << "job " << a.job << " scheduled twice in block " << bi;
+        } else {
+          os << "job " << a.job << " preempted: runs in blocks "
+             << t.last_block << " and " << bi << " but not in between";
         }
-      } else if (last_block[a.job] != bi - 1) {
-        std::ostringstream os;
-        os << "job " << a.job << " preempted: runs in blocks "
-           << last_block[a.job] << " and " << bi << " but not in between";
-        if (!sink.add({ViolationCode::kPreemption, step, bi, a.job, machine,
-                       os.str()})) {
+        if (!sink.add({twice ? ViolationCode::kDuplicateJob
+                             : ViolationCode::kPreemption,
+                       step, bi, a.job, machine(), os.str()})) {
           return;
         }
       }
-      last_block[a.job] = bi;
-      try {
-        credit[a.job] = util::add_checked(
-            credit[a.job], util::mul_checked(a.share, b.length));
-      } catch (const util::OverflowError&) {
-        credit_overflowed[a.job] = true;
+      t.last_block = bi;
+      Res gained = 0;
+      if (__builtin_mul_overflow(a.share, b.length, &gained) ||
+          __builtin_add_overflow(t.credit, gained, &t.credit)) {
+        t.overflowed = true;
       }
     }
-    if (used_overflowed || used > capacity) {
+    if (used_overflowed || used > capacity) [[unlikely]] {
       std::ostringstream os;
       if (used_overflowed) {
         os << "block " << bi << " overuses the resource: share sum overflows "
@@ -190,16 +193,31 @@ void scan(const Instance& instance, const Schedule& schedule, Sink& sink) {
         return;
       }
     }
+    // Side axis k ≥ 1 of the d-resource generalization (V3), one pass over
+    // the block per axis, so a d = 1 block pays nothing for it. Assignments
+    // without a valid job or a positive share consume nothing.
     for (std::size_t k = 1; k < axes; ++k) {
-      if (axis_overflowed[k - 1] || axis_used[k - 1] > instance.capacity(k)) {
+      Res axis_used = 0;
+      bool axis_overflowed = false;
+      for (const Assignment& a : b.assignments) {
+        if (a.job >= n || a.share <= 0) continue;
+        const util::i128 eaten = side_consumption(
+            a.share, instance.requirement(a.job, k), requirement[a.job]);
+        if (eaten > std::numeric_limits<Res>::max() ||
+            __builtin_add_overflow(axis_used, static_cast<Res>(eaten),
+                                   &axis_used)) {
+          axis_overflowed = true;
+        }
+      }
+      if (axis_overflowed || axis_used > instance.capacity(k)) [[unlikely]] {
         std::ostringstream os;
-        if (axis_overflowed[k - 1]) {
+        if (axis_overflowed) {
           os << "block " << bi << " overuses resource " << k
              << ": consumption overflows 64 bits (capacity "
              << instance.capacity(k) << ")";
         } else {
           os << "block " << bi << " overuses resource " << k << ": "
-             << axis_used[k - 1] << " > " << instance.capacity(k);
+             << axis_used << " > " << instance.capacity(k);
         }
         if (!sink.add({ViolationCode::kResourceOveruse, step, bi, kNoJob, -1,
                        os.str()})) {
@@ -207,11 +225,14 @@ void scan(const Instance& instance, const Schedule& schedule, Sink& sink) {
         }
       }
     }
-    step += std::max<Time>(b.length, 0);
+    // No violation names the step after the last block, and 1 + makespan
+    // does not fit when the makespan is 2^63 - 1.
+    if (bi + 1 < blocks.size()) step += std::max<Time>(b.length, 0);
   }
 
+  const Res* need = instance.total_requirements().data();
   for (JobId j = 0; j < n; ++j) {
-    if (credit_overflowed[j]) {
+    if (track[j].overflowed) [[unlikely]] {
       std::ostringstream os;
       os << "job " << j << " credit bookkeeping overflows 64 bits";
       if (!sink.add({ViolationCode::kCreditOverflow, 0,
@@ -220,11 +241,10 @@ void scan(const Instance& instance, const Schedule& schedule, Sink& sink) {
       }
       continue;
     }
-    const Res need = instance.job(j).total_requirement();
-    if (credit[j] != need) {
+    if (track[j].credit != need[j]) [[unlikely]] {
       std::ostringstream os;
-      os << "job " << j << " credited " << credit[j] << " units, needs exactly "
-         << need;
+      os << "job " << j << " credited " << track[j].credit
+         << " units, needs exactly " << need[j];
       if (!sink.add({ViolationCode::kCreditMismatch, 0,
                      static_cast<std::size_t>(-1), j, -1, os.str()})) {
         return;
@@ -241,7 +261,7 @@ ValidationResult validate(const Instance& instance, const Schedule& schedule) {
   scan(instance, schedule, sink);
   if (sink.violations().empty()) return {};
   SHAREDRES_OBS_COUNT("validator.infeasible");
-  return {false, sink.violations().front().detail};
+  return {false, std::move(sink.violations().front().detail)};
 }
 
 ValidationReport validate_all(const Instance& instance,

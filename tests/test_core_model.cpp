@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -181,6 +182,27 @@ TEST(Schedule, AppendsAndMergesIdenticalBlocks) {
   EXPECT_THROW(s.append(0, {}), std::invalid_argument);
 }
 
+TEST(Schedule, LengthOverflowThrowsAndLeavesTheScheduleUnchanged) {
+  constexpr core::Time kMax = std::numeric_limits<core::Time>::max();
+  Schedule s;
+  s.append(kMax - 5, {Assignment{0, 1}});
+  const Schedule before = s;
+  // Merge path: the same assignments would lengthen the last block.
+  EXPECT_THROW(s.append(6, {Assignment{0, 1}}), util::OverflowError);
+  EXPECT_EQ(s, before);
+  // Push path: different assignments would start a new block.
+  EXPECT_THROW(s.append(6, {Assignment{1, 1}}), util::OverflowError);
+  EXPECT_EQ(s, before);
+  // Up to 2^63 - 1 in total still fits, through either path.
+  s.append(2, {Assignment{0, 1}});
+  s.append(3, {Assignment{1, 1}});
+  EXPECT_EQ(s.makespan(), kMax);
+  ASSERT_EQ(s.blocks().size(), 2u);
+  EXPECT_EQ(s.blocks()[0].length, kMax - 3);
+  EXPECT_THROW(s.append(1, {Assignment{1, 1}}), util::OverflowError);
+  EXPECT_EQ(s.makespan(), kMax);
+}
+
 TEST(Schedule, CreditedAndStepIteration) {
   Schedule s;
   s.append(2, {Assignment{0, 5}, Assignment{1, 3}});
@@ -291,6 +313,53 @@ TEST(LowerBounds, MatchesHandComputation) {
 TEST(LowerBounds, EmptyInstance) {
   const Instance inst(3, 10, {});
   EXPECT_EQ(core::lower_bounds(inst).combined(), 0);
+}
+
+/// max over jobs and axes of ⌈p_j·r_{j,k} / min(r_{j,k}, C_k)⌉, one
+/// division per job and axis: the formula lower_bounds() shortcuts.
+Res per_job_longest(const Instance& inst) {
+  Res longest = 0;
+  for (std::size_t k = 0; k < inst.resource_count(); ++k) {
+    for (std::size_t j = 0; j < inst.size(); ++j) {
+      const Res r = inst.requirement(j, k);
+      longest = std::max(
+          longest, util::ceil_div(util::mul_checked(inst.job(j).size, r),
+                                  std::min(r, inst.capacity(k))));
+    }
+  }
+  return longest;
+}
+
+TEST(LowerBounds, LongestJobMatchesThePerJobFormula) {
+  std::mt19937_64 rng(7);
+  const auto draw = [&](Res lo, Res hi) {
+    return std::uniform_int_distribution<Res>(lo, hi)(rng);
+  };
+  for (int round = 0; round < 400; ++round) {
+    const std::size_t axes = 1 + static_cast<std::size_t>(round % 3);
+    std::vector<Res> capacities(axes);
+    for (Res& c : capacities) c = draw(1, 40);
+    // Requirements up to 3·C_k: every axis mixes jobs at or below its
+    // capacity with oversized ones, from none oversized to all.
+    std::vector<core::MultiJob> jobs(static_cast<std::size_t>(draw(0, 12)));
+    for (core::MultiJob& job : jobs) {
+      job.size = draw(1, 9);
+      for (const Res c : capacities) job.requirements.push_back(draw(1, 3 * c));
+    }
+    const Instance inst(static_cast<int>(draw(1, 6)), capacities,
+                        std::move(jobs));
+    EXPECT_EQ(core::lower_bounds(inst).longest_job, per_job_longest(inst))
+        << "round " << round;
+  }
+  // The classic constructor; r_j == C sits on the boundary where the
+  // division goes away.
+  const Instance classic(2, 10,
+                         {Job{4, 10}, Job{7, 3}, Job{2, 11}, Job{1, 35}});
+  EXPECT_EQ(core::lower_bounds(classic).longest_job, 7);
+  EXPECT_EQ(per_job_longest(classic), 7);
+  const Instance all_oversized(2, 10, {Job{3, 25}, Job{1, 61}});
+  EXPECT_EQ(core::lower_bounds(all_oversized).longest_job, 8);  // ⌈75/10⌉
+  EXPECT_EQ(per_job_longest(all_oversized), 8);
 }
 
 }  // namespace
