@@ -111,7 +111,10 @@ int main(int argc, char** argv) {
         inst.items.push_back(rng.uniform_int(1, 9));
       }
       const auto opt = exact::exact_bin_count(inst);
-      if (!opt) continue;
+      if (!opt) {
+        h.fail("exact search exceeded its state budget at k=" +
+               std::to_string(k) + " seed " + std::to_string(seed));
+      }
       ++solved;
       ratio.add(static_cast<double>(
                     binpack::sliding_window_packing(inst).bin_count()) /

@@ -34,7 +34,10 @@ int main(int argc, char** argv) {
           workloads::tiny_grid_instance(m, 6, 6, 2, seed);
       const auto opt = exact::exact_makespan(inst);
       const auto pre = exact::exact_makespan_preemptive(inst);
-      if (!opt || !pre) continue;
+      if (!opt || !pre) {
+        h.fail("exact search exceeded its state budget at m=" +
+               std::to_string(m) + " seed " + std::to_string(seed));
+      }
       ++solved;
       const auto lb = core::lower_bounds(inst).combined();
       lb_tight += (lb == *opt);

@@ -8,6 +8,7 @@
 // Usage: bench_fixedassign [--seeds=K] [--csv] [--json-dir=DIR]
 #include "core/lower_bounds.hpp"
 #include "core/sos_scheduler.hpp"
+#include "exact/exact_fixed.hpp"
 #include "fixedassign/fixed_model.hpp"
 #include "fixedassign/fixed_scheduler.hpp"
 #include "harness.hpp"
@@ -94,8 +95,11 @@ int main(int argc, char** argv) {
     int solved = 0;
     for (std::uint64_t seed = 1; seed <= 30; ++seed) {
       const auto inst = random_fixed(m, 3, 6, 8, 0.0, seed + 500);
-      const auto opt = fixedassign::exact_fixed_makespan(inst);
-      if (!opt) continue;
+      const auto opt = exact::exact_fixed_makespan(inst);
+      if (!opt) {
+        h.fail("exact search exceeded its state budget at m=" +
+               std::to_string(m) + " seed " + std::to_string(seed));
+      }
       ++solved;
       ratio.add(static_cast<double>(
                     fixedassign::schedule_fixed_greedy(inst).makespan()) /

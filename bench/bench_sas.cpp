@@ -146,7 +146,10 @@ int main(int argc, char** argv) {
       }
       const auto opt =
           exact::exact_sas_sum_completion(inst, {.max_states = 300'000});
-      if (!opt) continue;
+      if (!opt) {
+        h.fail("exact search exceeded its state budget at capacity " +
+               std::to_string(capacity) + " seed " + std::to_string(seed));
+      }
       ++solved;
       ratio.add(static_cast<double>(sas::schedule_sas(inst).sum_completion) /
                 static_cast<double>(*opt));

@@ -1,5 +1,6 @@
 #include "harness.hpp"
 
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
@@ -61,6 +62,11 @@ void Harness::record(Timing t) {
   }
   std::cout << '\n';
   timings_.push_back(std::move(t));
+}
+
+void Harness::fail(const std::string& what) const {
+  std::cerr << name_ << ": " << what << '\n';
+  std::exit(1);
 }
 
 int Harness::finish() {

@@ -94,6 +94,10 @@ class Harness {
   /// status for main).
   int finish();
 
+  /// Print "<name>: <what>" to stderr and exit 1, writing no artifact: for
+  /// a result the bench cannot do without, such as an exact optimum.
+  [[noreturn]] void fail(const std::string& what) const;
+
  private:
   struct RecordedTable {
     std::string title;

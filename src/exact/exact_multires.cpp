@@ -31,29 +31,28 @@ struct Running {
 
 class Searcher {
  public:
-  Searcher(const Instance& inst, std::size_t max_states)
-      : inst_(inst), max_states_(max_states),
+  Searcher(const Instance& inst, const ExactLimits& limits)
+      : inst_(inst), budget_(limits),
         machine_cap_(static_cast<std::size_t>(inst.machines())),
         axes_(inst.resource_count()) {}
 
-  [[nodiscard]] bool exceeded() const { return exceeded_; }
+  [[nodiscard]] bool exceeded() const { return budget_.exhausted(); }
 
   /// Exact remaining makespan from (waiting, running); running is sorted by
   /// job id. Meaningless once exceeded() is true.
   Time dfs(std::uint32_t waiting, const std::vector<Running>& running) {
-    if (exceeded_) return 0;
     if (waiting == 0 && running.empty()) return 0;
-    if (++states_ > max_states_) {
-      exceeded_ = true;
-      return 0;
-    }
+    if (!budget_.spend()) return 0;
 
+    // One entry for the job and one for its remaining time: a remaining
+    // time may use all 64 bits, so packing both into one word would let
+    // two different states share a key.
     std::vector<std::uint64_t> key;
-    key.reserve(1 + running.size());
+    key.reserve(1 + 2 * running.size());
     key.push_back(waiting);
     for (const Running& r : running) {
-      key.push_back((static_cast<std::uint64_t>(r.job) << 32) |
-                    static_cast<std::uint64_t>(r.rem));
+      key.push_back(r.job);
+      key.push_back(static_cast<std::uint64_t>(r.rem));
     }
     if (const auto it = memo_.find(key); it != memo_.end()) return it->second;
 
@@ -93,7 +92,7 @@ class Searcher {
           if (r.rem > delta) advanced.push_back({r.job, r.rem - delta});
         }
         const Time value = delta + dfs(waiting & ~sub, advanced);
-        if (!exceeded_) best = std::min(best, value);
+        if (!exceeded()) best = std::min(best, value);
       }
       if (sub == 0) break;
       sub = (sub - 1) & waiting;
@@ -131,11 +130,9 @@ class Searcher {
   }
 
   const Instance& inst_;
-  std::size_t max_states_;
+  Budget budget_;
   std::size_t machine_cap_;
   std::size_t axes_;
-  std::size_t states_ = 0;
-  bool exceeded_ = false;
   std::map<std::vector<std::uint64_t>, Time> memo_;
 };
 
@@ -158,7 +155,7 @@ std::optional<core::Time> exact_multires_makespan(
     }
   }
 
-  Searcher searcher(instance, limits.max_states);
+  Searcher searcher(instance, limits);
   const auto waiting =
       static_cast<std::uint32_t>((std::uint64_t{1} << instance.size()) - 1);
   const core::Time best = searcher.dfs(waiting, {});

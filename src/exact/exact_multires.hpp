@@ -25,7 +25,7 @@
 
 #include "core/instance.hpp"
 #include "core/types.hpp"
-#include "exact/exact_sos.hpp"
+#include "exact/search.hpp"
 
 namespace sharedres::exact {
 

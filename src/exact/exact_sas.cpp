@@ -21,7 +21,7 @@ Time sequential_sum(const sas::SasInstance& inst) {
   Time sum = 0;
   for (const sas::Task& task : inst.tasks) {
     for (const Res r : task.requirements) {
-      t += util::ceil_div(r, std::min(r, inst.capacity));
+      t = util::add_checked(t, util::ceil_div(r, std::min(r, inst.capacity)));
     }
     sum = util::add_checked(sum, t);
   }
@@ -30,8 +30,8 @@ Time sequential_sum(const sas::SasInstance& inst) {
 
 class SasSearcher {
  public:
-  SasSearcher(const sas::SasInstance& inst, const SasExactLimits& limits)
-      : inst_(inst), limits_(limits) {
+  SasSearcher(const sas::SasInstance& inst, const ExactLimits& limits)
+      : inst_(inst), budget_(limits) {
     for (std::size_t i = 0; i < inst.tasks.size(); ++i) {
       for (const Res r : inst.tasks[i].requirements) {
         task_of_.push_back(i);
@@ -52,7 +52,7 @@ class SasSearcher {
   std::optional<Time> solve() {
     if (inst_.tasks.empty()) return Time{0};
     dfs(0, 0);
-    if (aborted_) return std::nullopt;
+    if (budget_.exhausted()) return std::nullopt;
     return best_;
   }
 
@@ -63,7 +63,8 @@ class SasSearcher {
 
   /// Lower bound on the total completion sum of the *unfinished* tasks,
   /// given `t` steps already elapsed: every such task ends at ≥ t+1, and
-  /// the Lemma-4.3 prefix arguments apply to the remaining work.
+  /// the Lemma-4.3 prefix arguments apply to the remaining work. 0 exactly
+  /// when every task is done.
   [[nodiscard]] Time remaining_bound(Time t) const {
     std::vector<Res> totals;
     std::vector<Res> counts;
@@ -71,7 +72,7 @@ class SasSearcher {
       if (jobs_left_[i] == 0) continue;
       Res total = 0;
       for (std::size_t j = 0; j < rem_.size(); ++j) {
-        if (task_of_[j] == i) total += rem_[j];
+        if (task_of_[j] == i) total = util::add_checked(total, rem_[j]);
       }
       totals.push_back(total);
       counts.push_back(static_cast<Res>(jobs_left_[i]));
@@ -81,15 +82,17 @@ class SasSearcher {
     Time by_resource = 0;
     Res prefix = 0;
     for (const Res v : totals) {
-      prefix += v;
-      by_resource += t + util::ceil_div(prefix, inst_.capacity);
+      prefix = util::add_checked(prefix, v);
+      by_resource = util::add_checked(
+          by_resource, t + util::ceil_div(prefix, inst_.capacity));
     }
     Time by_slots = 0;
     prefix = 0;
     for (const Res c : counts) {
-      prefix += c;
-      by_slots +=
-          t + util::ceil_div(prefix, static_cast<Res>(inst_.machines));
+      prefix = util::add_checked(prefix, c);
+      by_slots = util::add_checked(
+          by_slots,
+          t + util::ceil_div(prefix, static_cast<Res>(inst_.machines)));
     }
     return std::max(by_resource, by_slots);
   }
@@ -125,131 +128,59 @@ class SasSearcher {
   }
 
   void dfs(Time t, Time accrued) {
-    if (aborted_) return;
-    if (++states_ > limits_.max_states) {
-      aborted_ = true;
-      return;
-    }
-    bool all_done = true;
-    for (const std::size_t left : jobs_left_) {
-      if (left > 0) {
-        all_done = false;
-        break;
-      }
-    }
-    if (all_done) {
+    if (!budget_.spend()) return;
+    const Time lower = remaining_bound(t);
+    if (lower == 0) {
       best_ = std::min(best_, accrued);
       return;
     }
-    if (accrued + remaining_bound(t) >= best_) return;
-    const auto key = state_key(t);
-    if (const auto it = memo_.find(key);
-        it != memo_.end() && it->second <= accrued) {
-      return;
-    }
-    memo_[key] = accrued;
+    if (accrued + lower >= best_) return;
+    if (memo_.dominated(state_key(t), accrued)) return;
 
-    std::vector<std::size_t> mandatory;
+    std::vector<std::size_t> started;
     std::map<std::tuple<std::size_t, Res, Res>, std::vector<std::size_t>>
         groups;
     for (std::size_t j = 0; j < rem_.size(); ++j) {
       if (rem_[j] == 0) continue;
       if (is_started(j)) {
-        mandatory.push_back(j);
+        started.push_back(j);
       } else {
         groups[{task_of_[j], req_[j], rem_[j]}].push_back(j);
       }
     }
-    const auto m = static_cast<std::size_t>(inst_.machines);
-    std::vector<std::vector<std::size_t>> group_list;
-    group_list.reserve(groups.size());
-    for (const auto& [gk, members] : groups) {
-      (void)gk;
-      group_list.push_back(members);
-    }
-    std::vector<std::size_t> active = mandatory;
-    choose(0, group_list, active, m, t, accrued);
-  }
-
-  void choose(std::size_t gi,
-              const std::vector<std::vector<std::size_t>>& groups,
-              std::vector<std::size_t>& active, std::size_t m, Time t,
-              Time accrued) {
-    if (aborted_) return;
-    if (gi == groups.size()) {
-      if (!active.empty()) {
-        std::vector<Res> sigma(active.size());
-        Res cap_sum = 0;
-        for (const std::size_t j : active) {
-          cap_sum = util::add_checked(
-              cap_sum, std::min(rem_[j], inst_.capacity));
-        }
-        const Res budget = std::min(inst_.capacity, cap_sum);
-        if (budget >= static_cast<Res>(active.size())) {
-          compose(active, sigma, 0, budget, t, accrued);
-        }
-      }
-      return;
-    }
-    const auto& members = groups[gi];
-    const std::size_t max_take = std::min(members.size(), m - active.size());
-    for (std::size_t take = 0; take <= max_take; ++take) {
-      if (take > 0) active.push_back(members[take - 1]);
-      choose(gi + 1, groups, active, m, t, accrued);
-    }
-    for (std::size_t take = max_take; take > 0; --take) active.pop_back();
-  }
-
-  void compose(const std::vector<std::size_t>& active, std::vector<Res>& sigma,
-               std::size_t i, Res left, Time t, Time accrued) {
-    if (aborted_) return;
-    if (i == active.size()) {
-      if (left != 0) return;
-      step(active, sigma, t, accrued);
-      return;
-    }
-    const auto trailing = static_cast<Res>(active.size() - i - 1);
-    const Res cap = std::min(rem_[active[i]], inst_.capacity);
-    Res suffix = 0;
-    for (std::size_t k = i + 1; k < active.size(); ++k) {
-      suffix += std::min(rem_[active[k]], inst_.capacity);
-    }
-    Res hi = std::min(cap, left - trailing);
-    if (i > 0 && task_of_[active[i]] == task_of_[active[i - 1]] &&
-        req_[active[i]] == req_[active[i - 1]] &&
-        rem_[active[i]] == rem_[active[i - 1]]) {
-      hi = std::min(hi, sigma[i - 1]);  // interchangeable within a group
-    }
-    const Res lo = std::max<Res>(1, left - suffix);
-    for (Res s = hi; s >= lo; --s) {
-      sigma[i] = s;
-      compose(active, sigma, i + 1, left - s, t, accrued);
-    }
-  }
-
-  void step(const std::vector<std::size_t>& active,
-            const std::vector<Res>& sigma, Time t, Time accrued) {
-    Time new_accrued = accrued;
-    std::vector<std::size_t> finished;
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      const std::size_t j = active[i];
-      rem_[j] -= sigma[i];
-      if (rem_[j] == 0) {
-        finished.push_back(j);
-        if (--jobs_left_[task_of_[j]] == 0) {
-          new_accrued += t + 1;  // task completes at this step
-        }
-      }
-    }
-    dfs(t + 1, new_accrued);
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      rem_[active[i]] += sigma[i];
-    }
-    for (const std::size_t j : finished) ++jobs_left_[task_of_[j]];
+    for_each_step(
+        started, groups, static_cast<std::size_t>(inst_.machines),
+        inst_.capacity,
+        [&](std::size_t j) { return std::min(rem_[j], inst_.capacity); },
+        [&](std::size_t a, std::size_t b) {  // interchangeable in a group
+          return task_of_[a] == task_of_[b] && req_[a] == req_[b] &&
+                 rem_[a] == rem_[b];
+        },
+        budget_,
+        [&](const std::vector<std::size_t>& active,
+            const std::vector<Res>& sigma) {
+          Time new_accrued = accrued;
+          std::vector<std::size_t> finished;
+          for (std::size_t i = 0; i < active.size(); ++i) {
+            const std::size_t j = active[i];
+            rem_[j] -= sigma[i];
+            if (rem_[j] == 0) {
+              finished.push_back(j);
+              if (--jobs_left_[task_of_[j]] == 0) {
+                new_accrued += t + 1;  // task completes at this step
+              }
+            }
+          }
+          dfs(t + 1, new_accrued);
+          for (std::size_t i = 0; i < active.size(); ++i) {
+            rem_[active[i]] += sigma[i];
+          }
+          for (const std::size_t j : finished) ++jobs_left_[task_of_[j]];
+        });
   }
 
   const sas::SasInstance& inst_;
-  SasExactLimits limits_;
+  Budget budget_;
 
   std::vector<std::size_t> task_of_;
   std::vector<Res> req_;
@@ -257,15 +188,13 @@ class SasSearcher {
   std::vector<std::size_t> jobs_left_;
 
   Time best_ = 0;
-  std::map<std::vector<Res>, Time> memo_;
-  std::size_t states_ = 0;
-  bool aborted_ = false;
+  DominanceMemo memo_;
 };
 
 }  // namespace
 
 std::optional<Time> exact_sas_sum_completion(const sas::SasInstance& instance,
-                                             const SasExactLimits& limits) {
+                                             const ExactLimits& limits) {
   instance.validate_input();
   return SasSearcher(instance, limits).solve();
 }

@@ -1,7 +1,7 @@
 // Exact SAS solver (tiny instances): minimal sum of task completion times.
 //
-// Same branch-and-bound skeleton as exact_sos.hpp — maximal integral share
-// vectors per step, non-preemptive, memoized — but the objective accumulates
+// Same branch-and-bound skeleton as exact_sos.hpp — the step kernel of
+// exact/search.hpp, non-preemptive, memoized — but the objective accumulates
 // the step index whenever a task's last job finishes, and the pruning bound
 // combines the accrued sum with per-task completion lower bounds on the
 // remaining work. Exponential by design (SAS is strongly NP-hard; paper §2);
@@ -12,16 +12,14 @@
 #include <optional>
 
 #include "core/types.hpp"
+#include "exact/search.hpp"
 #include "sas/task.hpp"
 
 namespace sharedres::exact {
 
-struct SasExactLimits {
-  std::size_t max_states = 5'000'000;
-};
-
 /// Exact minimal Σ_i f_i, or nullopt when the search exceeds its budget.
+/// Throws util::OverflowError when a sum of requirements leaves 64 bits.
 [[nodiscard]] std::optional<core::Time> exact_sas_sum_completion(
-    const sas::SasInstance& instance, const SasExactLimits& limits = {});
+    const sas::SasInstance& instance, const ExactLimits& limits = {});
 
 }  // namespace sharedres::exact

@@ -30,7 +30,7 @@ Time sequential_upper_bound(const Instance& inst) {
 class Searcher {
  public:
   Searcher(const Instance& inst, bool preemptive, const ExactLimits& limits)
-      : inst_(inst), preemptive_(preemptive), limits_(limits) {
+      : inst_(inst), preemptive_(preemptive), budget_(limits) {
     const std::size_t n = inst.size();
     rem_.resize(n);
     for (core::JobId j = 0; j < n; ++j) {
@@ -45,7 +45,7 @@ class Searcher {
   std::optional<Time> solve() {
     if (inst_.empty()) return Time{0};
     dfs(0);
-    if (aborted_) return std::nullopt;
+    if (budget_.exhausted()) return std::nullopt;
     return best_;
   }
 
@@ -60,7 +60,8 @@ class Searcher {
     return !preemptive_ && rem_[j] > 0 && rem_[j] != total(j);
   }
 
-  /// Eq. (1) and the per-job bound applied to the remaining work.
+  /// Eq. (1) and the per-job bound applied to the remaining work; 0 exactly
+  /// when no work remains.
   [[nodiscard]] Time remaining_lower_bound() const {
     const Res cap = inst_.capacity();
     Res sum = 0;
@@ -99,136 +100,59 @@ class Searcher {
   }
 
   void dfs(Time steps_used) {
-    if (aborted_) return;
-    if (++states_ > limits_.max_states) {
-      aborted_ = true;
-      return;
-    }
+    if (!budget_.spend()) return;
 
-    bool all_done = true;
-    for (const Res r : rem_) {
-      if (r > 0) {
-        all_done = false;
-        break;
-      }
-    }
-    if (all_done) {
+    const Time lower = remaining_lower_bound();
+    if (lower == 0) {
       best_ = std::min(best_, steps_used);
       return;
     }
-    if (steps_used + remaining_lower_bound() >= best_) return;
+    if (steps_used + lower >= best_) return;
+    if (memo_.dominated(canonical_state(), steps_used)) return;
 
-    const std::vector<Res> key = canonical_state();
-    if (const auto it = memo_.find(key);
-        it != memo_.end() && it->second <= steps_used) {
-      return;
-    }
-    memo_[key] = steps_used;
-
-    // Active-set enumeration: started jobs are mandatory (non-preemptive);
-    // unstarted jobs are grouped by (r, s) and we pick a count per group.
-    std::vector<core::JobId> mandatory;
+    // Started jobs must run (non-preemptive); unstarted jobs are
+    // interchangeable up to (r, rem), which in preemptive mode is their
+    // whole state.
+    std::vector<core::JobId> started;
     std::map<std::pair<Res, Res>, std::vector<core::JobId>> groups;
     for (core::JobId j = 0; j < rem_.size(); ++j) {
       if (rem_[j] == 0) continue;
       if (is_started(j)) {
-        mandatory.push_back(j);
+        started.push_back(j);
       } else {
         groups[{req(j), rem_[j]}].push_back(j);
       }
     }
-    const auto m = static_cast<std::size_t>(inst_.machines());
-    if (mandatory.size() > m) return;  // unreachable under correct branching
-
-    std::vector<std::pair<Res, Res>> group_keys;
-    group_keys.reserve(groups.size());
-    for (const auto& [gk, members] : groups) {
-      (void)members;
-      group_keys.push_back(gk);
-    }
-
-    std::vector<core::JobId> active = mandatory;
-    choose_groups(0, group_keys, groups, active, m, steps_used);
-  }
-
-  void choose_groups(
-      std::size_t gi, const std::vector<std::pair<Res, Res>>& group_keys,
-      const std::map<std::pair<Res, Res>, std::vector<core::JobId>>& groups,
-      std::vector<core::JobId>& active, std::size_t m, Time steps_used) {
-    if (aborted_) return;
-    if (gi == group_keys.size()) {
-      if (!active.empty()) branch_shares(active, steps_used);
-      return;
-    }
-    const auto& members = groups.at(group_keys[gi]);
-    const std::size_t max_take = std::min(members.size(), m - active.size());
-    for (std::size_t take = 0; take <= max_take; ++take) {
-      if (take > 0) active.push_back(members[take - 1]);
-      choose_groups(gi + 1, group_keys, groups, active, m, steps_used);
-    }
-    for (std::size_t take = max_take; take > 0; --take) active.pop_back();
-  }
-
-  /// Enumerate maximal integral share vectors for the active set and recurse.
-  void branch_shares(const std::vector<core::JobId>& active, Time steps_used) {
-    const Res cap = inst_.capacity();
-    Res cap_sum = 0;
-    std::vector<Res> caps(active.size());
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      caps[i] = std::min({req(active[i]), rem_[active[i]], cap});
-      cap_sum = util::add_checked(cap_sum, caps[i]);
-    }
-    const Res budget = std::min(cap, cap_sum);
-    if (budget < static_cast<Res>(active.size())) return;  // σ ≥ 1 infeasible
-
-    std::vector<Res> sigma(active.size());
-    compose(active, caps, sigma, 0, budget, steps_used);
-  }
-
-  void compose(const std::vector<core::JobId>& active,
-               const std::vector<Res>& caps, std::vector<Res>& sigma,
-               std::size_t i, Res left, Time steps_used) {
-    if (aborted_) return;
-    if (i == active.size()) {
-      if (left != 0) return;
-      for (std::size_t t = 0; t < active.size(); ++t) {
-        rem_[active[t]] -= sigma[t];
-      }
-      dfs(steps_used + 1);
-      for (std::size_t t = 0; t < active.size(); ++t) {
-        rem_[active[t]] += sigma[t];
-      }
-      return;
-    }
-    const auto remaining_jobs = static_cast<Res>(active.size() - i - 1);
-    Res hi = std::min(caps[i], left - remaining_jobs);
-    // Interchangeable neighbors (same r, s, rem): force non-increasing σ.
-    if (i > 0 && req(active[i]) == req(active[i - 1]) &&
-        total(active[i]) == total(active[i - 1]) &&
-        rem_[active[i]] == rem_[active[i - 1]]) {
-      hi = std::min(hi, sigma[i - 1]);
-    }
-    // Lower limit so the suffix can still absorb `left`.
-    Res suffix_cap = 0;
-    for (std::size_t t = i + 1; t < active.size(); ++t) {
-      suffix_cap = util::add_checked(suffix_cap, caps[t]);
-    }
-    const Res lo = std::max<Res>(1, left - suffix_cap);
-    for (Res s = hi; s >= lo; --s) {
-      sigma[i] = s;
-      compose(active, caps, sigma, i + 1, left - s, steps_used);
-    }
+    for_each_step(
+        started, groups, static_cast<std::size_t>(inst_.machines()),
+        inst_.capacity(),
+        [&](core::JobId j) {
+          return std::min({req(j), rem_[j], inst_.capacity()});
+        },
+        [&](core::JobId a, core::JobId b) {  // same (r, s, rem)
+          return req(a) == req(b) && total(a) == total(b) &&
+                 rem_[a] == rem_[b];
+        },
+        budget_,
+        [&](const std::vector<core::JobId>& active,
+            const std::vector<Res>& sigma) {
+          for (std::size_t t = 0; t < active.size(); ++t) {
+            rem_[active[t]] -= sigma[t];
+          }
+          dfs(steps_used + 1);
+          for (std::size_t t = 0; t < active.size(); ++t) {
+            rem_[active[t]] += sigma[t];
+          }
+        });
   }
 
   const Instance& inst_;
   bool preemptive_;
-  ExactLimits limits_;
+  Budget budget_;
 
   std::vector<Res> rem_;
   Time best_ = 0;
-  std::map<std::vector<Res>, Time> memo_;
-  std::size_t states_ = 0;
-  bool aborted_ = false;
+  DominanceMemo memo_;
 };
 
 }  // namespace

@@ -1,20 +1,13 @@
-// Exact solvers for tiny instances (evaluation substrate).
+// Exact solvers for tiny SoS instances (evaluation substrate).
 //
-// SoS is strongly NP-hard (paper Theorem 2.1), so these solvers are
-// deliberately exponential; they exist to measure true approximation ratios
-// and lower-bound tightness on small instances (experiments E1/E2/E4/E8).
+// They exist to measure true approximation ratios and lower-bound tightness
+// on small instances (experiments E1/E2/E4/E8).
 //
-// Method: branch-and-bound over time steps. In each state (vector of
-// remaining total requirements) we branch over the set of jobs to run and
-// over all *maximal integral* share vectors. This is exact because
-//  (1) with all inputs on the integer unit grid, some optimal schedule uses
-//      only integral shares — for a fixed combinatorial skeleton the feasible
-//      amounts form a flow polytope with integral vertices; and
-//  (2) some optimal schedule is "maximal" in every step: if a step had slack
-//      a standard exchange moves resource earlier without hurting
-//      feasibility (shrinking a later interval never violates contiguity).
-// States are memoized under job-relabeling symmetry, and Eq. (1) on the
-// remaining work prunes the search.
+// Method: branch-and-bound over time steps (exact/search.hpp, which also
+// gives the exactness argument). A state is the vector of remaining total
+// requirements; each step runs one of the kernel's maximal integral
+// choices. States are memoized under job-relabeling symmetry, and Eq. (1)
+// on the remaining work prunes the search.
 #pragma once
 
 #include <cstddef>
@@ -23,13 +16,9 @@
 #include "binpack/packing.hpp"
 #include "core/instance.hpp"
 #include "core/types.hpp"
+#include "exact/search.hpp"
 
 namespace sharedres::exact {
-
-struct ExactLimits {
-  /// Abort (return nullopt) after visiting this many states.
-  std::size_t max_states = 5'000'000;
-};
 
 /// Exact optimal makespan of the non-preemptive SoS problem, or nullopt if
 /// the search exceeds the limits. Intended for n ≲ 8 jobs on coarse grids.

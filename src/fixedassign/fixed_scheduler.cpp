@@ -1,11 +1,8 @@
 #include "fixedassign/fixed_scheduler.hpp"
 
 #include <algorithm>
-#include <map>
-#include <numeric>
+#include <stdexcept>
 #include <vector>
-
-#include "util/checked.hpp"
 
 namespace sharedres::fixedassign {
 
@@ -88,180 +85,6 @@ FixedSchedule schedule_fixed_greedy(const FixedInstance& instance) {
     schedule.shares.push_back(std::move(step));
   }
   return schedule;
-}
-
-namespace {
-
-class FixedSearcher {
- public:
-  FixedSearcher(const FixedInstance& inst, const FixedExactLimits& limits)
-      : inst_(inst), limits_(limits) {
-    cur_.resize(inst.machines());
-    for (std::size_t i = 0; i < inst.machines(); ++i) {
-      if (!inst.queues[i].empty()) cur_[i].rem = inst.queues[i][0];
-    }
-    best_ = static_cast<Time>(
-        schedule_fixed_greedy(inst).shares.size());  // feasible upper bound
-  }
-
-  std::optional<Time> solve() {
-    dfs(0);
-    if (aborted_) return std::nullopt;
-    return best_;
-  }
-
- private:
-  [[nodiscard]] Time remaining_lower_bound() const {
-    Res sum = 0;
-    Time per_queue = 0;
-    for (std::size_t i = 0; i < inst_.machines(); ++i) {
-      Res queue_rem = cur_[i].rem;
-      Time jobs_left = cur_[i].rem > 0 ? 1 : 0;
-      for (std::size_t h = cur_[i].head + 1; h < inst_.queues[i].size(); ++h) {
-        queue_rem = util::add_checked(queue_rem, inst_.queues[i][h]);
-        ++jobs_left;
-      }
-      sum = util::add_checked(sum, queue_rem);
-      per_queue = std::max(
-          per_queue, std::max(jobs_left,
-                              util::ceil_div(queue_rem, inst_.capacity)));
-    }
-    return std::max(per_queue, util::ceil_div(sum, inst_.capacity));
-  }
-
-  [[nodiscard]] bool done() const {
-    for (std::size_t i = 0; i < inst_.machines(); ++i) {
-      if (cur_[i].rem > 0 || cur_[i].head < inst_.queues[i].size()) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  [[nodiscard]] std::vector<Res> state_key() const {
-    std::vector<Res> key;
-    key.reserve(inst_.machines() * 2);
-    for (const Cursor& c : cur_) {
-      key.push_back(static_cast<Res>(c.head));
-      key.push_back(c.rem);
-    }
-    return key;
-  }
-
-  void dfs(Time steps) {
-    if (aborted_) return;
-    if (++states_ > limits_.max_states) {
-      aborted_ = true;
-      return;
-    }
-    if (done()) {
-      best_ = std::min(best_, steps);
-      return;
-    }
-    if (steps + remaining_lower_bound() >= best_) return;
-    const auto key = state_key();
-    if (const auto it = memo_.find(key); it != memo_.end() && it->second <= steps) {
-      return;
-    }
-    memo_[key] = steps;
-
-    // Heads with remaining work; started ones must be served (σ ≥ 1).
-    std::vector<std::size_t> heads;
-    for (std::size_t i = 0; i < inst_.machines(); ++i) {
-      if (cur_[i].rem > 0) heads.push_back(i);
-    }
-    std::vector<std::size_t> chosen;
-    choose(0, heads, chosen, steps);
-  }
-
-  [[nodiscard]] bool is_started(std::size_t i) const {
-    return cur_[i].rem > 0 &&
-           cur_[i].rem != inst_.queues[i][cur_[i].head];
-  }
-
-  void choose(std::size_t pos, const std::vector<std::size_t>& heads,
-              std::vector<std::size_t>& chosen, Time steps) {
-    if (aborted_) return;
-    if (pos == heads.size()) {
-      if (!chosen.empty()) {
-        std::vector<Res> sigma(chosen.size());
-        compose(chosen, sigma, 0, budget_for(chosen), steps);
-      }
-      return;
-    }
-    chosen.push_back(heads[pos]);
-    choose(pos + 1, heads, chosen, steps);
-    chosen.pop_back();
-    if (!is_started(heads[pos])) {  // unstarted heads may idle this step
-      choose(pos + 1, heads, chosen, steps);
-    }
-  }
-
-  [[nodiscard]] Res budget_for(const std::vector<std::size_t>& chosen) const {
-    Res cap_sum = 0;
-    for (const std::size_t i : chosen) {
-      cap_sum = util::add_checked(
-          cap_sum, std::min(cur_[i].rem, inst_.capacity));
-    }
-    return std::min(inst_.capacity, cap_sum);
-  }
-
-  void compose(const std::vector<std::size_t>& chosen, std::vector<Res>& sigma,
-               std::size_t i, Res left, Time steps) {
-    if (aborted_) return;
-    if (i == chosen.size()) {
-      if (left != 0) return;
-      apply_and_recurse(chosen, sigma, steps);
-      return;
-    }
-    const auto trailing = static_cast<Res>(chosen.size() - i - 1);
-    const Res cap = std::min(cur_[chosen[i]].rem, inst_.capacity);
-    Res suffix = 0;
-    for (std::size_t t = i + 1; t < chosen.size(); ++t) {
-      suffix = util::add_checked(
-          suffix, std::min(cur_[chosen[t]].rem, inst_.capacity));
-    }
-    const Res hi = std::min(cap, left - trailing);
-    const Res lo = std::max<Res>(1, left - suffix);
-    for (Res s = hi; s >= lo; --s) {
-      sigma[i] = s;
-      compose(chosen, sigma, i + 1, left - s, steps);
-    }
-  }
-
-  void apply_and_recurse(const std::vector<std::size_t>& chosen,
-                         const std::vector<Res>& sigma, Time steps) {
-    std::vector<Cursor> saved = cur_;
-    for (std::size_t t = 0; t < chosen.size(); ++t) {
-      Cursor& c = cur_[chosen[t]];
-      c.rem -= sigma[t];
-      if (c.rem == 0) {
-        ++c.head;
-        if (c.head < inst_.queues[chosen[t]].size()) {
-          c.rem = inst_.queues[chosen[t]][c.head];
-        }
-      }
-    }
-    dfs(steps + 1);
-    cur_ = saved;
-  }
-
-  const FixedInstance& inst_;
-  FixedExactLimits limits_;
-  std::vector<Cursor> cur_;
-  Time best_;
-  std::map<std::vector<Res>, Time> memo_;
-  std::size_t states_ = 0;
-  bool aborted_ = false;
-};
-
-}  // namespace
-
-std::optional<Time> exact_fixed_makespan(const FixedInstance& instance,
-                                         const FixedExactLimits& limits) {
-  instance.validate_input();
-  if (instance.total_jobs() == 0) return Time{0};
-  return FixedSearcher(instance, limits).solve();
 }
 
 }  // namespace sharedres::fixedassign

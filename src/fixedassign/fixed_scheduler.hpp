@@ -1,22 +1,13 @@
-// Schedulers for the fixed-assignment model.
-//
-//  * schedule_fixed_greedy — a natural water-filling greedy in the spirit of
-//    the combinatorial algorithm of Brinkmann et al. [3] (which achieves
-//    2 − 1/m in their unit-size setting): each step, the current queue heads
-//    are served in order of least remaining requirement; as many heads as
-//    possible receive their full remainder, the next one takes whatever is
-//    left. Finishing small heads first frees queues to advance, which is
-//    what keeps all processors busy.
-//
-//  * exact_fixed_makespan — branch-and-bound over maximal integral share
-//    vectors (same exactness argument as exact::exact_makespan, see
-//    src/exact/exact_sos.hpp) restricted to queue heads. Tiny instances
-//    only; used to measure the greedy's true ratio and the price of the
-//    fixed assignment versus the paper's free-assignment algorithm.
+// Scheduler for the fixed-assignment model: schedule_fixed_greedy, a
+// natural water-filling greedy in the spirit of the combinatorial algorithm
+// of Brinkmann et al. [3] (which achieves 2 − 1/m in their unit-size
+// setting): each step, the current queue heads are served in order of least
+// remaining requirement; as many heads as possible receive their full
+// remainder, the next one takes whatever is left. Finishing small heads
+// first frees queues to advance, which is what keeps all processors busy.
+// The model's exact optimum is exact::exact_fixed_makespan
+// (src/exact/exact_fixed.hpp).
 #pragma once
-
-#include <cstddef>
-#include <optional>
 
 #include "fixedassign/fixed_model.hpp"
 
@@ -24,12 +15,5 @@ namespace sharedres::fixedassign {
 
 [[nodiscard]] FixedSchedule schedule_fixed_greedy(
     const FixedInstance& instance);
-
-struct FixedExactLimits {
-  std::size_t max_states = 5'000'000;
-};
-
-[[nodiscard]] std::optional<Time> exact_fixed_makespan(
-    const FixedInstance& instance, const FixedExactLimits& limits = {});
 
 }  // namespace sharedres::fixedassign

@@ -65,7 +65,7 @@ class DifferentialSweep : public ::testing::TestWithParam<DiffParam> {
   }
 
   static std::optional<Time> opt_makespan(const Instance& inst) {
-    // Bounded search: a nullopt (limit hit) skips the case instead of
+    // Bounded search: a nullopt (limit hit) fails the case instead of
     // hanging the suite; the limit is generous for n <= 10 on these grids.
     return exact::exact_makespan(inst, {.max_states = 2'000'000});
   }
@@ -85,7 +85,7 @@ class DifferentialSweep : public ::testing::TestWithParam<DiffParam> {
 TEST_P(DifferentialSweep, GeneralEngineWithinTheoremRatioOfExactOptimum) {
   const Instance inst = make(/*max_size=*/2);
   const auto opt = opt_makespan(inst);
-  if (!opt.has_value()) GTEST_SKIP() << "exact search exceeded state limit";
+  ASSERT_TRUE(opt.has_value()) << "exact search exceeded state limit";
 
   const core::Schedule schedule = core::schedule_sos(inst);
   expect_clean(inst, schedule);
@@ -103,7 +103,7 @@ TEST_P(DifferentialSweep, GeneralEngineWithinTheoremRatioOfExactOptimum) {
 TEST_P(DifferentialSweep, UnitEngineWithinUnitRatioOfExactOptimum) {
   const Instance inst = make(/*max_size=*/1);  // unit-size jobs only
   const auto opt = opt_makespan(inst);
-  if (!opt.has_value()) GTEST_SKIP() << "exact search exceeded state limit";
+  ASSERT_TRUE(opt.has_value()) << "exact search exceeded state limit";
 
   const core::Schedule schedule = core::schedule_sos_unit(inst);
   expect_clean(inst, schedule);
@@ -120,7 +120,7 @@ TEST_P(DifferentialSweep, UnitEngineWithinUnitRatioOfExactOptimum) {
 TEST_P(DifferentialSweep, ImprovedSchedulerWithinInheritedRatioOfExactOptimum) {
   const Instance inst = make(/*max_size=*/2);
   const auto opt = opt_makespan(inst);
-  if (!opt.has_value()) GTEST_SKIP() << "exact search exceeded state limit";
+  ASSERT_TRUE(opt.has_value()) << "exact search exceeded state limit";
 
   const core::Schedule schedule = core::schedule_improved(inst);
   expect_clean(inst, schedule);
@@ -197,7 +197,7 @@ TEST_P(SasDifferentialSweep, SchedulerWithinTheorem48RatioOfExactOptimum) {
   const sas::SasInstance inst = make();
   const auto opt =
       exact::exact_sas_sum_completion(inst, {.max_states = 600'000});
-  if (!opt.has_value()) GTEST_SKIP() << "exact search exceeded state limit";
+  ASSERT_TRUE(opt.has_value()) << "exact search exceeded state limit";
 
   const sas::SasResult result = sas::schedule_sas(inst);
   const sas::SasValidation check = sas::validate(inst, result);
@@ -268,7 +268,7 @@ TEST_P(PackingDifferentialSweep, WindowPackerEqualsUnitSosMakespan) {
 TEST_P(PackingDifferentialSweep, EveryPackerValidatesAndRespectsExact) {
   const binpack::PackingInstance inst = make();
   const auto opt = exact::exact_bin_count(inst, {.max_states = 2'000'000});
-  if (!opt.has_value()) GTEST_SKIP() << "exact search exceeded state limit";
+  ASSERT_TRUE(opt.has_value()) << "exact search exceeded state limit";
   EXPECT_LE(binpack::packing_lower_bounds(inst).combined(), *opt);
 
   std::vector<std::pair<std::string, binpack::Packing>> packings;

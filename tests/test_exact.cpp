@@ -6,6 +6,8 @@
 
 #include "core/lower_bounds.hpp"
 #include "core/sos_scheduler.hpp"
+#include "exact/exact_fixed.hpp"
+#include "exact/exact_sas.hpp"
 #include "exact/exact_sos.hpp"
 #include "workloads/sos_generators.hpp"
 
@@ -52,13 +54,26 @@ TEST(ExactSos, PreemptionCanHelp) {
 }
 
 TEST(ExactSos, RespectsStateLimit) {
-  // Seed chosen so the initial bounds do not close the instance at the root
+  // Instances chosen so the initial bounds do not close them at the root
   // (otherwise the search answers after one state and no limit can trip).
   const Instance inst = workloads::tiny_grid_instance(3, 7, 6, 3, 6);
   ASSERT_TRUE(exact::exact_makespan(inst).has_value());
   exact::ExactLimits limits;
   limits.max_states = 2;
   EXPECT_EQ(exact::exact_makespan(inst, limits), std::nullopt);
+
+  // The SAS and fixed-assignment searches spend the same budget.
+  sas::SasInstance tasks;
+  tasks.machines = 2;
+  tasks.capacity = 10;
+  tasks.tasks = {sas::Task{{10, 10, 10}}, sas::Task{{10}}};
+  ASSERT_TRUE(exact::exact_sas_sum_completion(tasks).has_value());
+  EXPECT_EQ(exact::exact_sas_sum_completion(tasks, {.max_states = 1}),
+            std::nullopt);
+  const fixedassign::FixedInstance queues{2, {{1, 3, 1}, {3}}};
+  ASSERT_TRUE(exact::exact_fixed_makespan(queues).has_value());
+  EXPECT_EQ(exact::exact_fixed_makespan(queues, {.max_states = 1}),
+            std::nullopt);
 }
 
 TEST(ExactBinCount, MatchesHandCases) {

@@ -5,6 +5,7 @@
 
 #include "core/lower_bounds.hpp"
 #include "core/sos_scheduler.hpp"
+#include "exact/exact_fixed.hpp"
 #include "fixedassign/fixed_model.hpp"
 #include "fixedassign/fixed_scheduler.hpp"
 #include "util/prng.hpp"
@@ -82,31 +83,28 @@ TEST(FixedGreedy, TinyCapacityStillValid) {
 
 TEST(FixedExact, HandCases) {
   // One queue 6,4 and one 8 with C=10: greedy above needs 2; LB = 2.
-  EXPECT_EQ(fixedassign::exact_fixed_makespan(FixedInstance{10, {{6, 4}, {8}}}),
+  EXPECT_EQ(exact::exact_fixed_makespan(FixedInstance{10, {{6, 4}, {8}}}),
             2);
   // Serialization within a queue dominates: 3 jobs on one processor.
-  EXPECT_EQ(fixedassign::exact_fixed_makespan(FixedInstance{10, {{2, 2, 2}}}),
+  EXPECT_EQ(exact::exact_fixed_makespan(FixedInstance{10, {{2, 2, 2}}}),
             3);
   // Resource dominates: two queues of one 10-requirement job each.
-  EXPECT_EQ(fixedassign::exact_fixed_makespan(FixedInstance{10, {{10}, {10}}}),
+  EXPECT_EQ(exact::exact_fixed_makespan(FixedInstance{10, {{10}, {10}}}),
             2);
-  EXPECT_EQ(fixedassign::exact_fixed_makespan(FixedInstance{10, {{}}}), 0);
+  EXPECT_EQ(exact::exact_fixed_makespan(FixedInstance{10, {{}}}), 0);
 }
 
 TEST(FixedExact, GreedyWithinFactorTwoOfExactOnTinyInstances) {
-  int solved = 0;
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     const FixedInstance inst = random_instance(3, 3, 6, 8, seed + 100);
-    const auto opt = fixedassign::exact_fixed_makespan(inst);
-    if (!opt) continue;
-    ++solved;
+    const auto opt = exact::exact_fixed_makespan(inst);
+    ASSERT_TRUE(opt.has_value()) << "seed " << seed;
     const Time greedy = fixedassign::schedule_fixed_greedy(inst).makespan();
     ASSERT_GE(greedy, *opt);
     // [3] prove 2 − 1/m for their greedy; ours is in the same family.
     EXPECT_LE(greedy, 2 * *opt) << "seed " << seed;
     ASSERT_LE(fixedassign::fixed_lower_bound(inst), *opt);
   }
-  EXPECT_GT(solved, 15);
 }
 
 TEST(FixedRelaxation, FreeAssignmentNeverLosesOnBalancedQueues) {

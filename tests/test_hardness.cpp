@@ -51,17 +51,14 @@ TEST(ThreePartitionReduction, YesInstancesDecideYes) {
 
 TEST(ThreePartitionReduction, PerturbedInstancesMostlyDecideNo) {
   int no_count = 0;
-  int decided = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const ThreePartition planted =
         hardness::planted_yes_instance(2, 20, seed);
     const ThreePartition bad = hardness::perturb(planted, seed * 7 + 1);
     const auto decision = hardness::decide_via_sos(bad);
-    if (!decision) continue;
-    ++decided;
+    ASSERT_TRUE(decision.has_value()) << "seed " << seed;
     no_count += *decision ? 0 : 1;
   }
-  ASSERT_GT(decided, 4);
   // In the tiny value domain a unit move often still admits a different
   // partition; the point here is only that the decision procedure can go
   // both ways (certified NO instances are tested separately).

@@ -137,6 +137,14 @@ TEST(ExactMultiRes, HandExamples) {
   // must find the interleaving, not just round-based schedules.
   EXPECT_EQ(exact::exact_multires_makespan(Instance(3, {10, 10}, {})),
             std::optional<Time>(0));
+  // Sizes past 2^32: the memo keeps a job apart from its remaining time,
+  // or one state aliases another and the answer drops below the longest
+  // job.
+  EXPECT_EQ(exact::exact_multires_makespan(Instance(
+                3, 10,
+                {core::Job{3, 3}, core::Job{12884901895, 3},
+                 core::Job{4294967301, 5}})),
+            std::optional<Time>(12884901895));
   // Oversized secondary requirement: typed error, no rigid schedule.
   EXPECT_THROW((void)exact::exact_multires_makespan(
                    Instance(2, {10, 4}, {MultiJob{1, {2, 5}}})),
