@@ -176,7 +176,6 @@ int main(int argc, char** argv) {
     for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
       core::SosOptions options;
       options.parallel_threads = threads;
-      options.parallel_min_jobs = 0;
       const core::Schedule check = core::schedule_sos_unit(inst, options);
       if (!(check == scalar_schedule)) {
         std::cerr << "bench_runtime: parallel schedule (t=" << threads

@@ -199,6 +199,22 @@ expect "batch unknown --algorithm" 2 $?
 "$CLI" batch --in=x.ndjson --threads=0 >/dev/null 2>&1
 expect "batch --threads=0" 2 $?
 
+# The work flags batch and serve share, each rejected before any input is
+# read or any worker starts. Without a bad flag, both exit 0 on empty input.
+for command in "batch --in=-" serve; do
+  "$CLI" $command </dev/null >/dev/null 2>&1
+  expect "$command on empty input" 0 $?
+  for flag in --threads=0 --queue=0 --deadline-steps=-1 --deadline-ms=-1 \
+      --cache=-1 --algorithm=nope; do
+    "$CLI" $command $flag </dev/null >/dev/null 2>&1
+    expect "$command $flag" 2 $?
+  done
+done
+for flag in --shed-high-water=-1 --max-connections=0 --replay; do
+  "$CLI" serve $flag </dev/null >/dev/null 2>&1
+  expect "serve $flag" 2 $?
+done
+
 "$CLI" batch --in="$tmp/definitely-missing.ndjson" >/dev/null 2>&1
 expect "batch missing input stream" 3 $?
 

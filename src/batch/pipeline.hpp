@@ -9,13 +9,19 @@
 //
 // Architecture (DESIGN.md §10):
 //
-//   reader (caller thread) ──▶ bounded WorkerPool queue ──▶ workers
-//                                                            │ parse,
-//                                                            │ solve with
-//                                                            │ reused scratch,
-//                                                            ▼ format
+//   reader (caller thread) ──▶ Workers::submit ──▶ bounded WorkerPool queue
+//                                                          │
+//                                                          ▼
+//                              workers: parse, solve with reused scratch,
+//                              format
+//                                                          │
+//                                                          ▼
 //                              ordered emitter (reorder buffer, flushes the
 //                              contiguous prefix) ──▶ output stream
+//
+// Workers is the worker side, and service::Service (src/service) runs on the
+// same one: run_batch adds only the reader loop, the dead-sink stop and the
+// summary line.
 //
 // Determinism contract: the full output byte sequence is identical across
 // `threads` values (including 1) for a given input and options. Three
@@ -41,8 +47,9 @@
 // into the schedule — engine-internal buffers are recycled across the whole
 // batch.
 //
-// Solve cache (cache_capacity > 0): the reader additionally parses and
-// canonicalizes each record and acquires a cache handle *in input order*, so
+// Solve cache (cache_capacity > 0): Workers::submit additionally parses and
+// canonicalizes each record and acquires a cache handle on the caller's
+// thread, which the caller serializes (the batch reader in input order), so
 // every cache decision (hit/miss, eviction) is made before thread scheduling
 // can vary — the cache.* counters in the summary metrics block are
 // thread-count-invariant. Workers then either publish the canonical solve
@@ -52,34 +59,30 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <iosfwd>
+#include <memory>
+#include <optional>
 #include <string>
 
-#include "core/types.hpp"
+#include "batch/emitter.hpp"
+#include "batch/worker.hpp"
+#include "cache/solve_cache.hpp"
+#include "obs/registry.hpp"
 #include "util/json.hpp"
+#include "util/parallel.hpp"
 
 namespace sharedres::batch {
 
-struct BatchOptions {
-  /// A batch::solvers() name (batch/solver.hpp). Validated by run_batch
-  /// (util::Error, kCliUsage).
-  std::string algorithm = "window";
+/// The worker side's settings: the per-record WorkOptions plus the pool and
+/// the cache. service::ServiceOptions extends it with admission settings.
+struct BatchOptions : WorkOptions {
   /// Worker threads; <= 1 runs fully inline on the caller thread (no pool,
   /// no locks — the path the fuzz harness drives).
   std::size_t threads = 1;
   /// Bounded submit queue: the reader stalls once this many records are
   /// waiting, which caps memory no matter how large the stream is.
   std::size_t queue_capacity = 64;
-  /// Embed each feasible schedule (io::write_schedule text) in its result
-  /// line under "schedule".
-  bool emit_schedules = false;
-  /// Step budget applied to records that carry no "deadline_steps" field of
-  /// their own; expiry yields a typed "deadline_exceeded" error line.
-  /// 0 = unlimited. See util/deadline.hpp.
-  std::uint64_t default_deadline_steps = 0;
-  /// Per-record wall-clock budget in milliseconds (0 = none). Inherently
-  /// nondeterministic — never use it in determinism comparisons.
-  std::uint64_t deadline_ms = 0;
   /// > 0 enables the canonical-instance solve cache (src/cache) with this
   /// many resident entries. Records whose canonical key repeats — job
   /// permutations, common-factor rescalings — reuse the first solve; the
@@ -101,6 +104,51 @@ struct BatchSummary {
   /// The deterministic metrics section of the merged per-worker registries
   /// (obs::deterministic_json shape).
   util::Json metrics;
+};
+
+/// The worker side of run_batch and service::Service: one WorkerScratch per
+/// worker, the solve cache when options.cache_capacity > 0, and, when
+/// `pooled`, a WorkerPool of options.threads workers behind a queue of
+/// options.queue_capacity. Without a pool every record runs inline on the
+/// caller's thread.
+class Workers {
+ public:
+  Workers(const BatchOptions& options, bool pooled);
+  Workers(const Workers&) = delete;
+  Workers& operator=(const Workers&) = delete;
+
+  /// Process `line` as record `index` and hand its result line to `emitter`:
+  /// inline, or as a pool task (blocking while the queue is full). With the
+  /// cache on, the line is parsed, canonicalized and its handle acquired
+  /// here, so the caller MUST serialize submit() calls in the order the
+  /// cache's determinism contract is defined over (solve_cache.hpp): the
+  /// batch reader in input order, the service under its admission mutex.
+  /// FIFO submission then queues a key's producer before its waiters (the
+  /// no-deadlock guarantee). A pooled uncached line is moved into its task;
+  /// inline, `line` is left as it is, so a reader's buffer keeps its
+  /// capacity. The task holds `emitter` until the line is emitted.
+  void submit(std::string&& line, std::size_t index,
+              std::shared_ptr<OrderedEmitter> emitter);
+
+  /// Records queued but not yet picked up by a worker (0 without a pool): a
+  /// snapshot for gauges and shedding, never for synchronization.
+  [[nodiscard]] std::size_t pending() const;
+
+  /// Join the pool — rethrowing the first worker std::logic_error, a library
+  /// bug — then merge the per-worker registries into `merged` in worker
+  /// order, plus the cache's metrics. The counters are commutative sums over
+  /// the record set and cache decisions were serialized by the caller, so
+  /// the totals do not depend on thread count or scheduling.
+  void finish(obs::Registry& merged);
+
+ private:
+  WorkOptions options_;
+  /// Deque: WorkerScratch holds a Registry (neither movable nor copyable),
+  /// and worker threads hold references across emplacement of later slots.
+  std::deque<WorkerScratch> scratch_;
+  std::optional<cache::SolveCache> cache_;
+  /// Last, so it joins before the scratch and cache its tasks use go away.
+  std::optional<util::WorkerPool> pool_;
 };
 
 /// Run the whole stream; returns the summary that was also written as the

@@ -183,6 +183,10 @@ std::optional<InstanceRecord> parse_fast(const std::string& line) {
 
 }  // namespace
 
+bool blank_line(const std::string& line) {
+  return line.find_first_not_of(" \t\r") == std::string::npos;
+}
+
 InstanceRecord parse_instance_record(const std::string& line) {
   if (std::optional<InstanceRecord> fast = parse_fast(line)) {
     return std::move(*fast);

@@ -39,6 +39,10 @@ struct InstanceRecord {
   std::uint64_t deadline_steps = 0;
 };
 
+/// True for a line of only spaces, tabs and carriage returns: `batch` and
+/// `serve` skip it without assigning an index or answering it.
+[[nodiscard]] bool blank_line(const std::string& line);
+
 /// Parse one NDJSON instance line. Throws util::Error (kParse) on malformed
 /// JSON, missing/mis-typed fields, non-integral or out-of-range numbers;
 /// Instance construction errors (kInvalidInstance, kOverflow) propagate.

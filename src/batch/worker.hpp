@@ -6,7 +6,8 @@
 // Extracted from pipeline.cpp when the service arrived (DESIGN.md §13): the
 // service's determinism contract — a served request's response line is
 // byte-identical to what `batch` would emit for the same record — holds by
-// construction because both front ends call the same process_record().
+// construction because both front ends submit through the same
+// batch::Workers (pipeline.hpp), which calls these functions.
 //
 // Deadline contract: a record carrying "deadline_steps":N (or a nonzero
 // WorkOptions::default_deadline_steps / deadline_ns) runs its solve under a
@@ -44,9 +45,8 @@ struct alignas(util::kCacheLineSize) WorkerScratch {
   obs::Registry metrics{/*ring_capacity=*/1};
 };
 
-/// The per-record processing knobs — the subset of BatchOptions /
-/// ServiceOptions that the worker needs, decoupled so the two front ends
-/// can share it.
+/// The per-record processing knobs. BatchOptions (pipeline.hpp) extends it
+/// with the pool and the cache, and service::ServiceOptions extends that.
 struct WorkOptions {
   /// A batch::solvers() name (batch/solver.hpp). run_batch and the Service
   /// constructor reject any other name up front.
@@ -107,9 +107,10 @@ struct CachedWork {
 };
 
 /// Parse + canonicalize `line` and acquire its cache handle. MUST be called
-/// on the stream's serialization point — the batch reader in input order,
-/// the service under its admission mutex — because acquire() order is what
-/// the cache's determinism contract is defined over (solve_cache.hpp).
+/// on the stream's serialization point — Workers::submit (pipeline.hpp),
+/// which the batch reader calls in input order and the service under its
+/// admission mutex — because acquire() order is what the cache's
+/// determinism contract is defined over (solve_cache.hpp).
 /// nullopt means the line could not be prepared; the caller processes it
 /// uncached and emits the identical error record.
 [[nodiscard]] std::optional<CachedWork> prepare_cached(

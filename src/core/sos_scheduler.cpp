@@ -51,12 +51,10 @@ void schedule_sos_unit(const Instance& instance, Schedule& out,
   out.reset();
   if (instance.empty()) return;
   // Descriptor-parallel fast path: stepwise runs and observers need the
-  // scalar engine's per-step machinery, and tiny instances don't amortize
-  // the skeleton pass. A bail (instance outside the heavy regime) falls
-  // through to the scalar engine with `out` untouched.
+  // scalar engine's per-step machinery. A bail (instance outside the heavy
+  // regime) falls through to the scalar engine with `out` untouched.
   if (options.parallel_threads > 0 && options.fast_forward &&
-      options.observer == nullptr &&
-      instance.size() >= options.parallel_min_jobs) {
+      options.observer == nullptr) {
     if (schedule_unit_parallel(instance, out, options.parallel_threads)) {
       return;
     }

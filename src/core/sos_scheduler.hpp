@@ -12,11 +12,6 @@ namespace sharedres::core {
 
 struct EngineScratch;
 
-/// Below this instance size the intra-instance parallel fast path
-/// (core/parallel_unit.hpp) is not worth its skeleton pass: the scalar
-/// engine finishes small instances in well under a millisecond.
-inline constexpr std::size_t kParallelUnitMinJobs = 65536;
-
 struct SosOptions {
   /// Skip runs of identical steps (O((m+n)·n)); disable to run the listing's
   /// pseudo-polynomial stepwise form. Both produce identical schedules.
@@ -24,14 +19,11 @@ struct SosOptions {
   /// Optional per-block instrumentation sink.
   StepObserver* observer = nullptr;
   /// > 0 enables the descriptor-parallel unit engine (core/parallel_unit.hpp)
-  /// with this worker bound. Applies only to schedule_sos_unit, only with
-  /// fast_forward and no observer, and only for instances of at least
-  /// parallel_min_jobs jobs; the fast path bails back to the scalar engine
-  /// outside its regime, so the schedule is always bit-identical to the
-  /// scalar run regardless of this setting.
+  /// with this worker bound. Applies only to schedule_sos_unit, and only
+  /// with fast_forward and no observer; the fast path bails back to the
+  /// scalar engine outside its regime, so the schedule is always
+  /// bit-identical to the scalar run regardless of this setting.
   std::size_t parallel_threads = 0;
-  /// Engagement floor for the parallel path (tests set 0 to force it).
-  std::size_t parallel_min_jobs = kParallelUnitMinJobs;
 };
 
 /// Listing 1: the 2 + 1/(m−2) approximation for jobs of arbitrary size.

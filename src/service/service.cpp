@@ -12,17 +12,6 @@
 
 namespace sharedres::service {
 
-namespace {
-
-bool blank(const std::string& line) {
-  for (const char c : line) {
-    if (c != ' ' && c != '\t' && c != '\r') return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 Service::Service(const ServiceOptions& options) : options_(options) {
   (void)batch::require_solver(options_.algorithm);
   // A high-water mark above the queue capacity could never trigger (the
@@ -31,20 +20,11 @@ Service::Service(const ServiceOptions& options) : options_(options) {
   if (options_.shed_high_water > options_.queue_capacity) {
     options_.shed_high_water = options_.queue_capacity;
   }
-  work_options_.algorithm = options_.algorithm;
-  work_options_.emit_schedules = options_.emit_schedules;
-  work_options_.default_deadline_steps = options_.default_deadline_steps;
-  work_options_.deadline_ms = options_.deadline_ms;
   if (!options_.journal_path.empty()) {
     journal_.emplace(options_.journal_path, options_.journal_fsync);
   }
-  if (options_.cache_capacity > 0) {
-    cache_.emplace(cache::SolveCache::Config{options_.cache_capacity,
-                                             options_.cache_shards});
-  }
   start_ns_ = util::deadline::now_ns();
-  pool_.emplace(options_.threads, options_.queue_capacity);
-  for (std::size_t w = 0; w < pool_->threads(); ++w) scratch_.emplace_back();
+  workers_.emplace(options_, /*pooled=*/true);
 }
 
 Service::~Service() {
@@ -110,7 +90,7 @@ bool Service::answer_status(const std::shared_ptr<Client>& client,
   // Queue depth is the same live fact the service.queue_depth gauge in the
   // obs registry tracks; reading the pool directly avoids a registry lookup
   // and works when obs is compiled out.
-  doc.emplace("queue_depth", static_cast<std::uint64_t>(pool_->pending()));
+  doc.emplace("queue_depth", static_cast<std::uint64_t>(workers_->pending()));
   doc.emplace("requests", requests_.load(std::memory_order_relaxed));
   doc.emplace("admitted", admitted_.load(std::memory_order_relaxed));
   doc.emplace("shed", shed_.load(std::memory_order_relaxed));
@@ -128,7 +108,7 @@ bool Service::answer_status(const std::shared_ptr<Client>& client,
 void Service::submit(const std::shared_ptr<Client>& client,
                      const std::string& line) {
   if (finished_) throw std::logic_error("Service::submit after finish");
-  if (blank(line)) return;
+  if (batch::blank_line(line)) return;
   requests_.fetch_add(1, std::memory_order_relaxed);
   const std::size_t index = client->next_index++;
   // Health probes are answered in place — before the drain check, because a
@@ -152,7 +132,7 @@ void Service::submit(const std::shared_ptr<Client>& client,
   // must not stall behind one client's dead connection.
   std::unique_lock<std::mutex> admission(admission_mutex_);
   if (options_.shed_high_water != 0 &&
-      pool_->pending() >= options_.shed_high_water) {
+      workers_->pending() >= options_.shed_high_water) {
     admission.unlock();
     shed_.fetch_add(1, std::memory_order_relaxed);
     SHAREDRES_OBS_COUNT_V("service.shed");
@@ -185,7 +165,7 @@ std::size_t Service::replay(const std::shared_ptr<Client>& client,
   const std::lock_guard<std::mutex> admission(admission_mutex_);
   std::size_t enqueued = 0;
   for (const std::string& line : lines) {
-    if (blank(line)) continue;
+    if (batch::blank_line(line)) continue;
     requests_.fetch_add(1, std::memory_order_relaxed);
     replayed_.fetch_add(1, std::memory_order_relaxed);
     admitted_.fetch_add(1, std::memory_order_relaxed);
@@ -198,40 +178,20 @@ std::size_t Service::replay(const std::shared_ptr<Client>& client,
 
 void Service::enqueue(const std::shared_ptr<Client>& client, std::size_t index,
                       std::string line) {
-  // Caller holds admission_mutex_. Blocking submit: when shedding is off,
-  // admission applies backpressure exactly like the batch reader (later
-  // submitters then queue on the admission mutex instead of inside the
-  // pool — same observable behavior). With shedding on, the high-water
-  // check in submit() plus the serialization guarantee mean this call
-  // never actually blocks (high water is clamped to queue capacity).
-  if (cache_) {
-    // Parse + canonicalize + acquire here, under the admission mutex: that
-    // serialization is what makes every cache decision (hit/miss, eviction)
-    // independent of worker scheduling, so response bytes and cache.*
-    // metrics match a cache-off run and a single-threaded one. shared_ptr
-    // because std::function requires a copyable callable and CachedWork
-    // (the cache handle) is move-only; FIFO submission keeps a key's
-    // producer task queued before its waiters (no-deadlock guarantee).
-    if (auto work = batch::prepare_cached(line, *cache_)) {
-      auto shared = std::make_shared<batch::CachedWork>(std::move(*work));
-      pool_->submit([this, client, index, shared](std::size_t w) {
-        client->emitter.emit(
-            index, batch::process_cached(*shared, index, work_options_,
-                                         scratch_[w]));
-      });
-      SHAREDRES_OBS_GAUGE_SET_V("service.queue_depth",
-                                static_cast<std::int64_t>(pool_->pending()));
-      return;
-    }
-  }
-  pool_->submit([this, client, index,
-                 record = std::move(line)](std::size_t w) {
-    client->emitter.emit(
-        index, batch::process_record(record, index, work_options_,
-                                     scratch_[w]));
-  });
+  // Caller holds admission_mutex_: the serialization point Workers::submit
+  // needs for the cache, and what keeps a shed check from going stale.
+  // Blocking submit: when shedding is off, admission applies backpressure
+  // exactly like the batch reader (later submitters then queue on the
+  // admission mutex instead of inside the pool — same observable behavior).
+  // With shedding on, the high-water check in submit() plus the
+  // serialization guarantee mean this call never actually blocks (high
+  // water is clamped to queue capacity). The task holds the client, through
+  // its emitter, until the response is written.
+  workers_->submit(std::move(line), index,
+                   std::shared_ptr<batch::OrderedEmitter>(client,
+                                                          &client->emitter));
   SHAREDRES_OBS_GAUGE_SET_V("service.queue_depth",
-                            static_cast<std::int64_t>(pool_->pending()));
+                            static_cast<std::int64_t>(workers_->pending()));
 }
 
 void Service::begin_drain() {
@@ -239,10 +199,9 @@ void Service::begin_drain() {
 }
 
 ServiceSummary Service::finish() {
-  if (!finished_) {
-    finished_ = true;
-    pool_->close();  // drain; rethrows the first worker logic_error, if any
-  }
+  finished_ = true;
+  obs::Registry merged(/*ring_capacity=*/1);
+  workers_->finish(merged);  // rethrows a worker logic_error, if any
   ServiceSummary s;
   s.requests = requests_.load(std::memory_order_relaxed);
   s.admitted = admitted_.load(std::memory_order_relaxed);
@@ -253,14 +212,6 @@ ServiceSummary Service::finish() {
   s.status_requests = status_requests_.load(std::memory_order_relaxed);
   s.responses = responses_.load(std::memory_order_relaxed);
   s.drained = true;
-
-  // Worker-order merge, same invariance argument as run_batch: commutative
-  // per-record sums are identical at every thread count.
-  obs::Registry merged(/*ring_capacity=*/1);
-  for (const batch::WorkerScratch& sc : scratch_) merged.merge_from(sc.metrics);
-  // Cache decisions were serialized under the admission mutex, so these
-  // metrics are as order-deterministic as the admission stream itself.
-  if (cache_) cache_->export_metrics(merged);
   s.ok = merged.counter("batch.records_ok").value();
   s.failed = merged.counter("batch.records_failed").value();
   s.metrics = obs::deterministic_json(merged);

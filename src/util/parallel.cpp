@@ -102,21 +102,6 @@ void WorkerPool::submit(std::function<void(std::size_t)> task) {
   not_empty_.notify_one();
 }
 
-bool WorkerPool::try_submit(std::function<void(std::size_t)>& task,
-                            std::size_t high_water) {
-  const std::size_t mark =
-      high_water == 0 ? capacity_ : std::min(high_water, capacity_);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_) throw std::logic_error("WorkerPool::try_submit after close");
-    if (queue_.size() >= mark) return false;
-    SHAREDRES_OBS_COUNT("pool.tasks_submitted");
-    queue_.push_back(std::move(task));
-  }
-  not_empty_.notify_one();
-  return true;
-}
-
 std::size_t WorkerPool::pending() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return queue_.size();
@@ -178,7 +163,7 @@ namespace detail {
 void parallel_chunks(std::size_t count,
                      void (*body)(void* ctx, std::size_t begin,
                                   std::size_t end),
-                     void* ctx, std::size_t threads) {
+                     void* ctx, std::size_t threads, bool all_static) {
   if (count == 0) return;
   // Invocation/item counts are structural (deterministic across --threads);
   // worker and dispatch counts depend on the thread count, hence volatile.
@@ -201,10 +186,12 @@ void parallel_chunks(std::size_t count,
   SHAREDRES_OBS_GAUGE_SET_V("parallel.threads_last",
                             static_cast<std::int64_t>(workers));
   SHAREDRES_OBS_COUNT_N_V("parallel.workers_launched", workers);
-  // The first half of the index space is split evenly (one static chunk per
-  // worker, zero coordination); the second half is served in small dynamic
-  // chunks so a worker stuck on an expensive cell doesn't serialize the tail.
-  const std::size_t static_total = count / 2;
+  // The first `static_total` indices are split evenly (one static chunk per
+  // worker, zero coordination); the rest is served in small dynamic chunks
+  // so a worker stuck on an expensive cell doesn't serialize the tail. The
+  // hybrid statically splits half the range; all_static splits all of it,
+  // so which indices land together never depends on scheduling.
+  const std::size_t static_total = all_static ? count : count / 2;
   const std::size_t chunk =
       std::max<std::size_t>(1, (count - static_total) / (workers * 8));
   std::atomic<std::size_t> cursor{static_total};
@@ -219,69 +206,19 @@ void parallel_chunks(std::size_t count,
       const std::size_t begin = static_total * t / workers;
       const std::size_t end = static_total * (t + 1) / workers;
       if (begin < end) body(ctx, begin, end);
-      for (;;) {
+      while (!all_static) {
         const std::size_t lo =
             cursor.fetch_add(chunk, std::memory_order_relaxed);
-        if (lo >= count) {
-          SHAREDRES_OBS_COUNT_N_V("parallel.dynamic_dispatches", dispatches);
-          return;
-        }
+        if (lo >= count) break;
         ++dispatches;
         body(ctx, lo, std::min(lo + chunk, count));
       }
     } catch (...) {
-      SHAREDRES_OBS_COUNT_N_V("parallel.dynamic_dispatches", dispatches);
       const std::lock_guard<std::mutex> lock(error_mutex);
       if (!first_error) first_error = std::current_exception();
     }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(worker, t);
-  for (std::thread& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-void parallel_chunks_static(std::size_t count,
-                            void (*body)(void* ctx, std::size_t begin,
-                                         std::size_t end),
-                            void* ctx, std::size_t threads) {
-  if (count == 0) return;
-  SHAREDRES_OBS_COUNT("parallel.invocations");
-  SHAREDRES_OBS_COUNT_N("parallel.items", count);
-  if (t_in_parallel_region) {
-    SHAREDRES_OBS_COUNT("parallel.nested_serialized");
-    body(ctx, 0, count);
-    return;
-  }
-  if (threads <= 1 || count == 1) {
-    SHAREDRES_OBS_GAUGE_SET_V("parallel.threads_last", 1);
-    body(ctx, 0, count);
-    return;
-  }
-
-  const std::size_t workers = std::min(threads, count);
-  SHAREDRES_OBS_GAUGE_SET_V("parallel.threads_last",
-                            static_cast<std::int64_t>(workers));
-  SHAREDRES_OBS_COUNT_N_V("parallel.workers_launched", workers);
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-
-  // One even contiguous range per worker, fixed by (count, workers) alone:
-  // no cursor, no stealing, so which indices land together never depends on
-  // scheduling. Callers trade tail-latency robustness for reproducible
-  // chunk boundaries.
-  auto worker = [&](std::size_t t) {
-    try {
-      SHAREDRES_FAILPOINT("parallel.worker");
-      const RegionGuard region;
-      const std::size_t begin = count * t / workers;
-      const std::size_t end = count * (t + 1) / workers;
-      if (begin < end) body(ctx, begin, end);
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
+    if (!all_static) {
+      SHAREDRES_OBS_COUNT_N_V("parallel.dynamic_dispatches", dispatches);
     }
   };
 

@@ -56,25 +56,20 @@ namespace sharedres::util {
 namespace detail {
 
 /// Type-erased chunk dispatcher: invokes body(ctx, begin, end) over disjoint
-/// ranges covering [0, count) across `threads` workers. Exceptions thrown by
-/// the body are captured and the first one rethrown on the calling thread
-/// after all workers join.
+/// ranges covering [0, count) across T = min(threads, count) workers. Worker
+/// t first takes the static range [S·t/T, S·(t+1)/T), then drains [S, count)
+/// in small dynamic chunks from an atomic cursor. The hybrid has S = count/2;
+/// `all_static` sets S = count, so worker t receives exactly
+/// [count·t/T, count·(t+1)/T) — no dynamic tail, no work stealing — and the
+/// range-to-worker map is a pure function of (count, threads): a body whose
+/// writes depend only on the indices it receives produces bit-identical
+/// results at every thread count (the engine determinism contract,
+/// DESIGN.md §12). Exceptions thrown by the body are captured and the first
+/// one rethrown on the calling thread after all workers join.
 void parallel_chunks(std::size_t count,
                      void (*body)(void* ctx, std::size_t begin,
                                   std::size_t end),
-                     void* ctx, std::size_t threads);
-
-/// Static-partition variant: worker t receives exactly the contiguous range
-/// [count·t/T, count·(t+1)/T) — no dynamic tail, no work stealing. The
-/// range-to-worker map is a pure function of (count, threads), so a body
-/// whose writes depend only on the indices it receives produces bit-identical
-/// results at every thread count (the engine determinism contract,
-/// DESIGN.md §12). Exceptions are captured and the first rethrown on the
-/// calling thread after all workers join.
-void parallel_chunks_static(std::size_t count,
-                            void (*body)(void* ctx, std::size_t begin,
-                                         std::size_t end),
-                            void* ctx, std::size_t threads);
+                     void* ctx, std::size_t threads, bool all_static);
 
 }  // namespace detail
 
@@ -92,11 +87,11 @@ void parallel_for(std::size_t count, Fn&& fn,
         for (std::size_t i = begin; i < end; ++i) body(i);
       },
       const_cast<void*>(static_cast<const void*>(std::addressof(fn))),
-      threads);
+      threads, /*all_static=*/false);
 }
 
 /// Invoke fn(begin, end) over disjoint ranges covering [0, count) on a
-/// deterministic static partition (see detail::parallel_chunks_static).
+/// deterministic static partition (detail::parallel_chunks, all_static).
 /// Use this instead of parallel_for when the *chunk boundaries themselves*
 /// must not depend on scheduling — e.g. the intra-instance engine path,
 /// whose output must be bit-identical across SHAREDRES_THREADS. Serializes
@@ -105,14 +100,14 @@ template <class Fn>
 void parallel_for_ranges(std::size_t count, Fn&& fn,
                          std::size_t threads = default_threads()) {
   using Body = std::remove_reference_t<Fn>;
-  detail::parallel_chunks_static(
+  detail::parallel_chunks(
       count,
       [](void* ctx, std::size_t begin, std::size_t end) {
         Body& body = *static_cast<Body*>(ctx);
         body(begin, end);
       },
       const_cast<void*>(static_cast<const void*>(std::addressof(fn))),
-      threads);
+      threads, /*all_static=*/true);
 }
 
 /// Map [0, count) through fn in parallel, collecting results in index order
@@ -151,14 +146,6 @@ class WorkerPool {
   /// Enqueue a task; blocks while the queue is full. Throws std::logic_error
   /// if the pool is already closed.
   void submit(std::function<void(std::size_t worker)> task);
-
-  /// Non-blocking submit: enqueue only if the queue currently holds fewer
-  /// than `high_water` pending tasks (0 = use the pool's capacity). Returns
-  /// false — leaving `task` untouched — when the queue is at or above the
-  /// mark, so a load-shedding caller can reject instead of stalling. Throws
-  /// std::logic_error if the pool is already closed.
-  [[nodiscard]] bool try_submit(std::function<void(std::size_t worker)>& task,
-                                std::size_t high_water = 0);
 
   /// Tasks currently queued but not yet picked up by a worker. A snapshot —
   /// stale by the time the caller acts on it — so only useful for gauges and

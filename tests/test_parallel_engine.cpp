@@ -2,8 +2,8 @@
 // scalar UnitEngine: bit-identical schedules at every thread count, both in
 // the heavy regime the fast path is built for and on the bail families where
 // it must fall back to the scalar engine; plus the engagement policy
-// (parallel_min_jobs, fast_forward, observer) and the thread-count
-// invariance of the deterministic engine.unit_par.* metrics.
+// (parallel_threads, fast_forward) and the thread-count invariance of the
+// deterministic engine.unit_par.* metrics.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,7 +22,6 @@ namespace {
 core::SosOptions parallel_options(std::size_t threads) {
   core::SosOptions options;
   options.parallel_threads = threads;
-  options.parallel_min_jobs = 0;  // force engagement regardless of size
   return options;
 }
 
@@ -149,15 +148,6 @@ TEST(ParallelUnitEngine, EngagementPolicyGates) {
   const core::Instance inst = heavy_instance(2'000, 14);
   obs::Registry& reg = obs::Registry::global();
 
-  // Below the size floor: scalar path, no fast-path run or bail recorded.
-  {
-    core::SosOptions options;
-    options.parallel_threads = 8;  // keeps the default parallel_min_jobs
-    reg.reset_values();
-    (void)core::schedule_sos_unit(inst, options);
-    EXPECT_EQ(par_runs(), 0u);
-    EXPECT_EQ(par_bailouts(), 0u);
-  }
   // Stepwise request: the fast path only reproduces fast-forward output.
   {
     core::SosOptions options = parallel_options(8);

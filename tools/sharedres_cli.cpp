@@ -255,6 +255,47 @@ std::string slurp_instance_dir(const std::string& dir) {
   return ndjson;
 }
 
+// The seven flags batch and serve share, read into the worker side's
+// options: --algorithm, --threads, --queue, --emit-schedules,
+// --deadline-steps, --deadline-ms and --cache[=N]. False after printing a
+// usage error (exit 2), before any input or output file is touched.
+bool read_work_flags(const char* command, const util::Cli& cli,
+                     batch::BatchOptions& options) {
+  options.algorithm = cli.get("algorithm", "window");
+  if (!lookup_algorithm(command, options.algorithm)) return false;
+  const std::int64_t threads = cli.get_int(
+      "threads", static_cast<std::int64_t>(util::default_threads()));
+  const std::int64_t queue = cli.get_int("queue", 64);
+  if (threads < 1 || queue < 1) {
+    std::cerr << command << ": --threads and --queue must be >= 1\n";
+    return false;
+  }
+  options.threads = static_cast<std::size_t>(threads);
+  options.queue_capacity = static_cast<std::size_t>(queue);
+  options.emit_schedules = cli.has("emit-schedules");
+  const std::int64_t deadline_steps = cli.get_int("deadline-steps", 0);
+  const std::int64_t deadline_ms = cli.get_int("deadline-ms", 0);
+  if (deadline_steps < 0 || deadline_ms < 0) {
+    std::cerr << command
+              << ": --deadline-steps and --deadline-ms must be >= 0\n";
+    return false;
+  }
+  options.default_deadline_steps = static_cast<std::uint64_t>(deadline_steps);
+  options.deadline_ms = static_cast<std::uint64_t>(deadline_ms);
+  if (cli.has("cache")) {
+    // Bare --cache (stored as "true") selects the default capacity;
+    // --cache=N pins it. --cache=0 is explicit off.
+    const std::int64_t capacity =
+        cli.get("cache", "") == "true" ? 1024 : cli.get_int("cache", 0);
+    if (capacity < 0) {
+      std::cerr << command << ": --cache must be >= 0\n";
+      return false;
+    }
+    options.cache_capacity = static_cast<std::size_t>(capacity);
+  }
+  return true;
+}
+
 int cmd_batch(const util::Cli& cli) {
   const std::string in_path = cli.get("in", "");
   const std::string dir = cli.get("dir", "");
@@ -265,37 +306,7 @@ int cmd_batch(const util::Cli& cli) {
   }
 
   batch::BatchOptions options;
-  options.algorithm = cli.get("algorithm", "window");
-  if (!lookup_algorithm("batch", options.algorithm)) return kExitUsage;
-  const std::int64_t threads = cli.get_int(
-      "threads", static_cast<std::int64_t>(util::default_threads()));
-  const std::int64_t queue = cli.get_int("queue", 64);
-  if (threads < 1 || queue < 1) {
-    std::cerr << "batch: --threads and --queue must be >= 1\n";
-    return kExitUsage;
-  }
-  options.threads = static_cast<std::size_t>(threads);
-  options.queue_capacity = static_cast<std::size_t>(queue);
-  options.emit_schedules = cli.has("emit-schedules");
-  const std::int64_t deadline_steps = cli.get_int("deadline-steps", 0);
-  const std::int64_t deadline_ms = cli.get_int("deadline-ms", 0);
-  if (deadline_steps < 0 || deadline_ms < 0) {
-    std::cerr << "batch: --deadline-steps and --deadline-ms must be >= 0\n";
-    return kExitUsage;
-  }
-  options.default_deadline_steps = static_cast<std::uint64_t>(deadline_steps);
-  options.deadline_ms = static_cast<std::uint64_t>(deadline_ms);
-  if (cli.has("cache")) {
-    // Bare --cache (stored as "true") selects the default capacity;
-    // --cache=N pins it. --cache=0 is explicit off.
-    const std::int64_t capacity =
-        cli.get("cache", "") == "true" ? 1024 : cli.get_int("cache", 0);
-    if (capacity < 0) {
-      std::cerr << "batch: --cache must be >= 0\n";
-      return kExitUsage;
-    }
-    options.cache_capacity = static_cast<std::size_t>(capacity);
-  }
+  if (!read_work_flags("batch", cli, options)) return kExitUsage;
 
   const std::string out_path = cli.get("out", "");
   std::ofstream out_file;
@@ -367,45 +378,17 @@ bool signal_seen() {
 
 int cmd_serve(const util::Cli& cli) {
   service::ServiceOptions options;
-  options.algorithm = cli.get("algorithm", "window");
-  if (!lookup_algorithm("serve", options.algorithm)) return kExitUsage;
-  const std::int64_t threads = cli.get_int(
-      "threads", static_cast<std::int64_t>(util::default_threads()));
-  const std::int64_t queue = cli.get_int("queue", 64);
+  if (!read_work_flags("serve", cli, options)) return kExitUsage;
   const std::int64_t shed = cli.get_int("shed-high-water", 0);
-  const std::int64_t deadline_steps = cli.get_int("deadline-steps", 0);
-  const std::int64_t deadline_ms = cli.get_int("deadline-ms", 0);
   const std::int64_t max_conns = cli.get_int("max-connections", 64);
-  if (threads < 1 || queue < 1) {
-    std::cerr << "serve: --threads and --queue must be >= 1\n";
+  if (shed < 0 || max_conns < 1) {
+    std::cerr << "serve: --shed-high-water must be >= 0, "
+                 "--max-connections >= 1\n";
     return kExitUsage;
   }
-  if (shed < 0 || deadline_steps < 0 || deadline_ms < 0 || max_conns < 1) {
-    std::cerr << "serve: --shed-high-water/--deadline-steps/--deadline-ms "
-                 "must be >= 0, --max-connections >= 1\n";
-    return kExitUsage;
-  }
-  options.threads = static_cast<std::size_t>(threads);
-  options.queue_capacity = static_cast<std::size_t>(queue);
   options.shed_high_water = static_cast<std::size_t>(shed);
-  options.default_deadline_steps =
-      static_cast<std::uint64_t>(deadline_steps);
-  options.deadline_ms = static_cast<std::uint64_t>(deadline_ms);
-  options.emit_schedules = cli.has("emit-schedules");
   options.journal_path = cli.get("journal", "");
   options.journal_fsync = cli.has("journal-fsync");
-  if (cli.has("cache")) {
-    // Same spelling as batch: bare --cache selects the default capacity,
-    // --cache=N pins it, --cache=0 is explicit off. The cache is shared
-    // across all client connections (ServiceOptions::cache_capacity).
-    const std::int64_t capacity =
-        cli.get("cache", "") == "true" ? 1024 : cli.get_int("cache", 0);
-    if (capacity < 0) {
-      std::cerr << "serve: --cache must be >= 0\n";
-      return kExitUsage;
-    }
-    options.cache_capacity = static_cast<std::size_t>(capacity);
-  }
   const bool replay = cli.has("replay");
   const std::string socket_path = cli.get("socket", "");
   if (replay && options.journal_path.empty()) {
@@ -872,11 +855,8 @@ int cmd_solve(const util::Cli& cli) {
 
   core::Schedule schedule;
   if (parallel > 0) {
-    // The CLI flag is an explicit request: engage regardless of size so
-    // identity scripts can diff small instances through the fast path.
     schedule = core::schedule_sos_unit(
-        inst, {.parallel_threads = static_cast<std::size_t>(parallel),
-               .parallel_min_jobs = 0});
+        inst, {.parallel_threads = static_cast<std::size_t>(parallel)});
   } else {
     core::EngineScratch engines;
     solver->solve(inst, schedule, engines);
