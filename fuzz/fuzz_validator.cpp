@@ -218,15 +218,15 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       core::EngineScratch engines;
       row.solve(inst, solved, engines);
       if (!core::validate(inst, solved).ok) die("a solver's schedule fails");
-      blocks = solved.blocks();
+      blocks = solved.copy_blocks();
       mutate(inst, blocks, in);
     } else {
       blocks = raw_blocks(inst, in);
     }
     core::Schedule schedule;
-    for (core::Block& block : blocks) {
+    for (const core::Block& block : blocks) {
       if (block.length <= 0) continue;  // append() takes positive lengths
-      schedule.append(block.length, std::move(block.assignments));
+      schedule.append(block.length, block.assignments);
     }
     compare(inst, schedule);
   } catch (const sharedres::util::Error&) {

@@ -59,6 +59,7 @@ Schedule schedule_garey_graham(const Instance& inst, ListOrder order) {
   std::deque<JobId> waiting;
   for (const JobId j : job_order(inst, order)) waiting.push_back(j);
   std::vector<Running> running;
+  std::vector<Assignment> step;
   Res free_res = capacity;
   Time t = 1;
 
@@ -90,12 +91,11 @@ Schedule schedule_garey_graham(const Instance& inst, ListOrder order) {
     }
     const Time len = until - t + 1;
 
-    std::vector<Assignment> step;
-    step.reserve(running.size());
+    step.clear();
     for (const Running& r : running) {
       step.push_back(Assignment{r.job, t < r.end ? r.rate : r.final_share});
     }
-    out.append(len, std::move(step));
+    out.append(len, step);
     t = until + 1;
 
     for (std::size_t i = running.size(); i-- > 0;) {
@@ -133,6 +133,8 @@ Schedule schedule_equal_split(const Instance& inst) {
     rem[j] = inst.job(j).total_requirement();
   }
   std::vector<JobId> active;  // admission order preserved
+  std::vector<Res> share;
+  std::vector<Assignment> step;
   JobId next_job = 0;
 
   while (true) {
@@ -152,7 +154,7 @@ Schedule schedule_equal_split(const Instance& inst) {
     // Even split, capped by requirement and remaining work; greedy second
     // pass hands out whatever the caps left over.
     const Res even = capacity / static_cast<Res>(active.size());
-    std::vector<Res> share(active.size(), 0);
+    share.assign(active.size(), 0);
     Res left = capacity;
     for (std::size_t i = 0; i < active.size(); ++i) {
       const JobId j = active[i];
@@ -167,8 +169,7 @@ Schedule schedule_equal_split(const Instance& inst) {
       left -= extra;
     }
 
-    std::vector<Assignment> step;
-    step.reserve(active.size());
+    step.clear();
     for (std::size_t i = 0; i < active.size(); ++i) {
       if (share[i] > 0) {
         step.push_back(Assignment{active[i], share[i]});
@@ -180,7 +181,7 @@ Schedule schedule_equal_split(const Instance& inst) {
     if (step.empty()) {
       throw std::logic_error("equal_split: no progress (capacity < jobs?)");
     }
-    out.append(1, std::move(step));
+    out.append(1, step);
   }
   return out;
 }

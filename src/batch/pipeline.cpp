@@ -56,6 +56,10 @@ std::size_t Workers::pending() const { return pool_ ? pool_->pending() : 0; }
 void Workers::finish(obs::Registry& merged) {
   if (pool_) pool_->close();  // drain; rethrows the first worker logic_error
   for (const WorkerScratch& s : scratch_) merged.merge_from(s.metrics);
+  for (const char* name : {"batch.records", "batch.records_ok",
+                           "batch.records_failed", "batch.makespan_sum"}) {
+    (void)merged.counter(name);
+  }
   if (cache_) cache_->export_metrics(merged);
 }
 

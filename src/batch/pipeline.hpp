@@ -138,7 +138,10 @@ class Workers {
   /// bug — then merge the per-worker registries into `merged` in worker
   /// order, plus the cache's metrics. The counters are commutative sums over
   /// the record set and cache decisions were serialized by the caller, so
-  /// the totals do not depend on thread count or scheduling.
+  /// the totals do not depend on thread count or scheduling. The summary
+  /// counters (batch.records, records_ok, records_failed, makespan_sum) are
+  /// registered even when no record bumped them, so both front ends' metrics
+  /// blocks carry the same keys on any stream.
   void finish(obs::Registry& merged);
 
  private:

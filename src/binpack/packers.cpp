@@ -24,7 +24,7 @@ Packing sliding_window_packing(const PackingInstance& instance) {
 
   Packing packing;
   packing.bins.reserve(static_cast<std::size_t>(schedule.makespan()));
-  for (const core::Block& block : schedule.blocks()) {
+  for (const core::BlockView block : schedule.blocks()) {
     std::vector<ItemPart> bin;
     bin.reserve(block.assignments.size());
     for (const core::Assignment& a : block.assignments) {

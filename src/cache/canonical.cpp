@@ -235,14 +235,14 @@ core::Schedule decanonicalize_schedule(const core::Schedule& canonical,
                                        core::Res scale) {
   core::Schedule out;
   out.reserve_blocks(canonical.blocks().size());
-  for (const core::Block& block : canonical.blocks()) {
-    std::vector<core::Assignment> assignments;
-    assignments.reserve(block.assignments.size());
+  std::vector<core::Assignment> assignments;
+  for (const core::BlockView block : canonical.blocks()) {
+    assignments.clear();
     for (const core::Assignment& a : block.assignments) {
       assignments.push_back(
           core::Assignment{a.job, util::mul_checked(a.share, scale)});
     }
-    out.append(block.length, std::move(assignments));
+    out.append(block.length, assignments);
   }
   return out;
 }

@@ -46,12 +46,7 @@ std::int64_t entry_bytes(const Entry& entry) {
 
 std::uint64_t value_bytes(const CacheValue& value) {
   std::uint64_t bytes = sizeof(CacheValue);
-  if (value.schedule) {
-    bytes += value.schedule->blocks().size() * sizeof(core::Block);
-    for (const core::Block& block : value.schedule->blocks()) {
-      bytes += block.assignments.size() * sizeof(core::Assignment);
-    }
-  }
+  if (value.schedule) bytes += value.schedule->storage_bytes();
   return bytes;
 }
 

@@ -4,7 +4,11 @@
 // Every engine executes the same block: prepare the step, plan the shares,
 // apply them once; if no job finished and the plan may repeat, plan again
 // and, when the plan is unchanged, apply it up to just before the first job
-// finishes; then count and emit the block. Two layers own that loop:
+// finishes; then count and emit the block. Emitting copies the step's
+// shares into the schedule's flat storage (core/schedule.hpp), and the
+// steps are scratch the driver keeps across blocks and runs, so once an
+// engine and its output schedule have grown, a run allocates nothing. Two
+// layers own that loop:
 //
 //   run_blocks()  the shell: reserve the block list, take a Schedule::Mark,
 //                 run the fail point and deadline check before each block,
@@ -36,9 +40,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/instance.hpp"
@@ -75,18 +79,15 @@ void run_blocks(const Engine& engine, Schedule& out, std::size_t hint,
   }
 }
 
-/// Append one block of `reps` steps. Without an observer the share vector
-/// moves into the schedule (the block's only allocation); with one it is
-/// copied and `info`, its repeat set to `reps`, goes to on_step().
+/// Append one block of `reps` steps, copying the engine's scratch shares
+/// into the schedule's flat storage; with an observer, `info`, its repeat
+/// set to `reps`, then goes to on_step().
 inline void emit_block(Schedule& out, Time reps,
-                       std::vector<Assignment>& shares,
+                       std::span<const Assignment> shares,
                        StepObserver* observer, StepInfo& info) {
-  if (observer == nullptr) {
-    out.append(reps, std::move(shares));
-    return;
-  }
-  info.repeat = reps;
   out.append(reps, shares);
+  if (observer == nullptr) return;
+  info.repeat = reps;
   observer->on_step(info);
 }
 
@@ -175,6 +176,8 @@ class EngineDriver {
   void drive(Schedule& out, bool fast_forward, StepObserver* observer);
 
   std::vector<JobId> finished_;  // apply()'s batched finish list
+  Step planned_;                 // drive()'s scratch steps
+  Step again_;
 };
 
 // The members below are not inline: each engine's .cpp explicitly
@@ -185,22 +188,28 @@ template <class Engine, class Step>
 bool EngineDriver<Engine, Step>::apply(const Step& planned, Time reps) {
   ensure(reps >= 1, "apply with reps < 1");
   // Decrement every share first, then drop the finished jobs in one batch:
-  // the engine's finish_job surgery stays off the decrement loop.
-  finished_.clear();
+  // the engine's finish_job surgery stays off the decrement loop. Every job
+  // is written to the finish list and the count advances only for those
+  // that hit 0, so the loop has no branch on the data.
+  if (finished_.size() < planned.shares.size()) {
+    finished_.resize(planned.shares.size());
+  }
+  std::size_t finished = 0;
   for (const Assignment& a : planned.shares) {
     const Res total = util::mul_checked(a.share, reps);
     ensure(rem_[a.job] >= total, "apply overshoots a job's remaining work");
     ensure(reps == 1 || rem_[a.job] > util::mul_checked(a.share, reps - 1),
            "apply: a job would finish strictly inside the block");
     rem_[a.job] -= total;
-    if (rem_[a.job] == 0) finished_.push_back(a.job);
+    finished_[finished] = a.job;
+    finished += static_cast<std::size_t>(rem_[a.job] == 0);
   }
-  for (const JobId j : finished_) {
-    self().finish_job(j);
+  for (std::size_t i = 0; i < finished; ++i) {
+    self().finish_job(finished_[i]);
     --remaining_jobs_;
   }
   now_ += reps;
-  return !finished_.empty();
+  return finished > 0;
 }
 
 template <class Engine, class Step>
@@ -216,11 +225,12 @@ template <class Engine, class Step>
 void EngineDriver<Engine, Step>::drive(Schedule& out, bool fast_forward,
                                        StepObserver* observer) {
   Engine& e = self();
-  // Two scratch steps reused across every block, so a block costs exactly
-  // one share-vector allocation — the one that ends up in the schedule.
-  // StepInfo (which copies the shares) is only filled for an observer.
-  Step planned;
-  Step again;
+  // Two scratch steps reused across every block and every run, so once
+  // their share vectors have grown a block allocates nothing: emit_block
+  // copies the shares into the schedule's flat storage. StepInfo (which
+  // copies the shares) is only filled for an observer.
+  Step& planned = planned_;
+  Step& again = again_;
   run_blocks(e, out, e.block_hint(), Engine::kStepSite, [&] {
     e.prepare_step();
     e.plan_into(planned);
@@ -244,7 +254,6 @@ void EngineDriver<Engine, Step>::drive(Schedule& out, bool fast_forward,
         }
       }
     }
-    // Before the append below may move the share vector away.
     if (obs::enabled()) e.count_block(planned, reps);
     emit_block(out, reps, planned.shares, observer, info);
   });

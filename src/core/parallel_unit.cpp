@@ -235,7 +235,7 @@ bool schedule_unit_parallel(const Instance& instance, Schedule& out,
   const Schedule::Mark mark = out.mark();
   try {
     for (std::size_t i = 0; i < descs.size(); ++i) {
-      out.append(descs[i].reps, std::move(shares[i]));
+      out.append(descs[i].reps, shares[i]);
     }
   } catch (...) {
     out.rollback(mark);

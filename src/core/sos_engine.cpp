@@ -76,6 +76,7 @@ void SosEngine::reset(const Instance& instance, Params params) {
   ensure(params_.budget >= 1, "budget must be >= 1");
 
   const std::size_t n = instance.size();
+  fractured_.assign(n, 0);  // s_j = p_j·r_j: nobody starts fractured
   head_ = n;
   tail_ = n + 1;
   next_.resize(n + 2);
@@ -133,7 +134,7 @@ JobId SosEngine::find_fractured() const {
   JobId found = kNoJob;
   if (wl_ == kNoJob) return found;
   for (JobId j = wl_;; j = next_[j]) {
-    if (rem_[j] % req(j) != 0) {
+    if (fractured_[j] != 0) {
       if (found == kNoJob) {
         found = j;
       } else {
@@ -293,7 +294,13 @@ bool SosEngine::apply(const PlannedStep& planned, Time reps) {
     ensure(reps == 1, "extra-job steps cannot repeat");
     add_right(planned.shares.back().job);
   }
-  return EngineDriver::apply(planned, reps);
+  const bool finished_any = EngineDriver::apply(planned, reps);
+  for (const Assignment& a : planned.shares) {
+    if (a.share < req(a.job)) {
+      fractured_[a.job] = rem_[a.job] % req(a.job) != 0 ? 1 : 0;
+    }
+  }
+  return finished_any;
 }
 
 Time SosEngine::steps_until_change(const PlannedStep& steady) const {

@@ -106,6 +106,9 @@ class SosEngine : public EngineDriver<SosEngine, PlannedStep> {
   [[nodiscard]] bool window_right_border() const;
   [[nodiscard]] std::size_t window_size() const { return wsize_; }
   [[nodiscard]] Res window_requirement() const { return wreq_; }
+  /// Whether job j is fractured: s_j(t−1) mod r_j ≠ 0. Kept per job by
+  /// apply(), so find_fractured() reads a flag instead of dividing.
+  [[nodiscard]] bool fractured(JobId j) const { return fractured_[j] != 0; }
 
  private:
   friend class EngineDriver<SosEngine, PlannedStep>;
@@ -166,6 +169,9 @@ class SosEngine : public EngineDriver<SosEngine, PlannedStep> {
   JobId wr_ = kNoJob;
   std::size_t wsize_ = 0;      // |W|
   Res wreq_ = 0;               // r(W)
+  // Per job: 1 iff rem_ mod r_j ≠ 0. A share of exactly r_j leaves the
+  // remainder alone, so apply() refreshes it only for shares below r_j.
+  std::vector<std::uint8_t> fractured_;
 
   RunStats stats_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/registry.hpp"
 
@@ -11,6 +12,14 @@ namespace {
 
 void ensure(bool cond, const char* msg) {
   if (!cond) throw std::logic_error(std::string("UnitEngine invariant: ") + msg);
+}
+
+/// Reset `info` for the next block, keeping its share vector's capacity.
+void clear_info(StepInfo& info) {
+  std::vector<Assignment> shares = std::move(info.shares);
+  shares.clear();
+  info = StepInfo{};
+  info.shares = std::move(shares);
 }
 
 }  // namespace
@@ -163,8 +172,8 @@ UnitEngine::StepPlan UnitEngine::build_window() const {
   return plan;
 }
 
-StepInfo UnitEngine::execute(const StepPlan& plan) {
-  StepInfo info;
+void UnitEngine::execute(const StepPlan& plan, StepInfo& info) {
+  clear_info(info);
   info.first_step = now_ + 1;
   info.repeat = 1;
   info.window_size = plan.wsize;
@@ -204,17 +213,16 @@ StepInfo UnitEngine::execute(const StepPlan& plan) {
   }
   if (iota_ == kNoJob) cursor_ = resume;  // full completion: resume here
   ++now_;
-  return info;
 }
 
-StepInfo UnitEngine::execute_solo(const StepPlan& plan) {
+void UnitEngine::execute_solo(const StepPlan& plan, StepInfo& info) {
   const JobId j = plan.wr;
   const Time reps = key(j) / capacity_;  // steps at full capacity
   const Res leftover = key(j) - reps * capacity_;
-  StepInfo info;
+  clear_info(info);
   info.first_step = now_ + 1;
   info.repeat = reps;
-  info.shares = {{j, capacity_}};
+  info.shares.push_back({j, capacity_});
   info.window_size = 1;
   info.window_requirement = plan.wkey;
   info.left_border = prev_[j] == head_;
@@ -232,10 +240,13 @@ StepInfo UnitEngine::execute_solo(const StepPlan& plan) {
     reposition_started(j);
   }
   if (obs::enabled()) ++stats_.fast_forward_blocks;
-  return info;
 }
 
-StepInfo UnitEngine::step() { return execute(build_window()); }
+StepInfo UnitEngine::step() {
+  StepInfo info;
+  execute(build_window(), info);
+  return info;
+}
 
 /// Deterministic per-block stats; mirrors the SosEngine catalog under the
 /// engine.unit prefix. In the light case every window job receives its full
@@ -282,10 +293,13 @@ void UnitEngine::publish_stats() {
 void UnitEngine::run(Schedule& out, bool fast_forward, StepObserver* observer) {
   run_blocks(*this, out, remaining_jobs_ / m_ + 1, kStepSite, [&] {
     const StepPlan plan = build_window();
-    StepInfo info = fast_forward && solo_run(plan) ? execute_solo(plan)
-                                                   : execute(plan);
-    if (obs::enabled()) count_block(info);
-    emit_block(out, info.repeat, info.shares, observer, info);
+    if (fast_forward && solo_run(plan)) {
+      execute_solo(plan, info_);
+    } else {
+      execute(plan, info_);
+    }
+    if (obs::enabled()) count_block(info_);
+    emit_block(out, info_.repeat, info_.shares, observer, info_);
   });
   if (obs::enabled()) publish_stats();
 }

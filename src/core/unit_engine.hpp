@@ -71,7 +71,9 @@ class UnitEngine {
 
   [[nodiscard]] Res key(JobId j) const { return rem_[j]; }
   [[nodiscard]] StepPlan build_window() const;
-  StepInfo execute(const StepPlan& plan);
+  /// Execute `plan` for one step, describing it in `info` (whose share
+  /// vector is reused).
+  void execute(const StepPlan& plan, StepInfo& info);
   /// A solo window whose job absorbs the whole capacity repeats identically
   /// until the job's remainder drops below C.
   [[nodiscard]] bool solo_run(const StepPlan& plan) const {
@@ -79,7 +81,7 @@ class UnitEngine {
            key(plan.wr) > capacity_;
   }
   /// Fast-forward a solo_run() window as one block.
-  StepInfo execute_solo(const StepPlan& plan);
+  void execute_solo(const StepPlan& plan, StepInfo& info);
   void count_block(const StepInfo& info);
   void publish_stats();
   void unlink(JobId j);
@@ -113,6 +115,9 @@ class UnitEngine {
 
   std::size_t remaining_jobs_ = 0;
   Time now_ = 0;
+  /// run()'s per-block description, reused across blocks and runs so a
+  /// block allocates nothing once its share vector has grown.
+  StepInfo info_;
 
   /// Deterministic run statistics, mirroring SosEngine::RunStats under the
   /// engine.unit prefix (metric catalog: DESIGN.md §9). Plain fields keep

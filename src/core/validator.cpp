@@ -95,10 +95,11 @@ void scan(const Instance& instance, const Schedule& schedule, Sink& sink) {
   constexpr std::size_t kUnseen = static_cast<std::size_t>(-1);
   std::vector<Track> track(n, Track{kUnseen, 0, false});
 
-  const auto& blocks = schedule.blocks();
+  const Schedule::BlockRange blocks = schedule.blocks();
   Time step = 1;  // 1-based first step of the current block
-  for (std::size_t bi = 0; bi < blocks.size(); ++bi) {
-    const Block& b = blocks[bi];
+  std::size_t bi = 0;
+  for (auto it = blocks.begin(); it != blocks.end(); ++it, ++bi) {
+    const BlockView b = *it;
     if (b.length <= 0) [[unlikely]] {
       if (!sink.add({ViolationCode::kNonPositiveBlockLength, step, bi, kNoJob,
                      -1, "block with non-positive length"})) {

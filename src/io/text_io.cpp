@@ -228,7 +228,7 @@ void append_schedule(std::string& out, const core::Schedule& schedule,
     out += "# sharedres schedule v1\nblocks ";
     append_number(out, schedule.blocks().size());
     out += '\n';
-    for (const core::Block& block : schedule.blocks()) {
+    for (const core::BlockView block : schedule.blocks()) {
       out += "block ";
       append_number(out, block.length);
       out += ' ';
@@ -253,6 +253,7 @@ core::Schedule read_schedule(std::istream& is) {
   r.expect_header("schedule");
   const util::i64 blocks = r.expect_kv("blocks");
   core::Schedule schedule;
+  std::vector<core::Assignment> assignments;
   for (util::i64 b = 0; b < blocks; ++b) {
     const auto tokens = r.next_line();
     if (tokens.size() < 3 || tokens[0].text != "block") {
@@ -264,8 +265,7 @@ core::Schedule read_schedule(std::istream& is) {
       r.fail("block advertises " + std::to_string(k) + " assignments, has " +
              std::to_string(tokens.size() - 3));
     }
-    std::vector<core::Assignment> assignments;
-    assignments.reserve(static_cast<std::size_t>(k));
+    assignments.clear();
     for (std::size_t t = 3; t < tokens.size(); ++t) {
       const auto colon = tokens[t].text.find(':');
       if (colon == std::string::npos) {
@@ -277,7 +277,7 @@ core::Schedule read_schedule(std::istream& is) {
           r.to_int_at(tokens[t].text.substr(colon + 1),
                       tokens[t].column + static_cast<int>(colon) + 1)});
     }
-    schedule.append(len, std::move(assignments));
+    schedule.append(len, assignments);
   }
   SHAREDRES_OBS_COUNT("io.schedules_read");
   return schedule;

@@ -182,7 +182,7 @@ void DynamicEngine::step() {
   busy_units_ = util::add_checked(busy_units_, busy);
   SHAREDRES_OBS_COUNT("online.steps");
   SHAREDRES_OBS_COUNT_N("online.busy_units", busy);
-  schedule_.append(1, std::move(out));
+  schedule_.append(1, out);
 }
 
 Time DynamicEngine::run_until_idle() {

@@ -45,14 +45,14 @@ OnlineValidation validate(const OnlineInstance& instance,
     to_sorted[flat.original_id(sorted)] = sorted;
   }
   core::Schedule remapped;
-  for (const core::Block& block : schedule.blocks()) {
-    std::vector<core::Assignment> step;
-    step.reserve(block.assignments.size());
+  std::vector<core::Assignment> step;
+  for (const core::BlockView block : schedule.blocks()) {
+    step.clear();
     for (const core::Assignment& a : block.assignments) {
       if (a.job >= instance.size()) return fail("invalid job id");
       step.push_back(core::Assignment{to_sorted[a.job], a.share});
     }
-    remapped.append(block.length, std::move(step));
+    remapped.append(block.length, step);
   }
   if (const auto core_check = core::validate(flat, remapped); !core_check.ok) {
     return fail("core feasibility: " + core_check.error);
@@ -61,7 +61,7 @@ OnlineValidation validate(const OnlineInstance& instance,
   // Releases respected: first step of job j is ≥ release_j.
   std::vector<core::Time> first(instance.size(), 0);
   core::Time t = 1;
-  for (const core::Block& block : schedule.blocks()) {
+  for (const core::BlockView block : schedule.blocks()) {
     for (const core::Assignment& a : block.assignments) {
       if (first[a.job] == 0) first[a.job] = t;
     }

@@ -1,6 +1,7 @@
 #include "sas/sas_scheduler.hpp"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -20,12 +21,12 @@ core::Schedule merge_schedules(const core::Schedule& s1,
                                const core::Schedule& s2,
                                const std::vector<core::JobId>& map2) {
   core::Schedule out;
-  const auto& b1 = s1.blocks();
-  const auto& b2 = s2.blocks();
+  const core::Schedule::BlockRange b1 = s1.blocks();
+  const core::Schedule::BlockRange b2 = s2.blocks();
   std::size_t i1 = 0, i2 = 0;
   Time off1 = 0, off2 = 0;  // steps already consumed inside the current block
 
-  auto remap = [](const std::vector<core::Assignment>& in,
+  auto remap = [](std::span<const core::Assignment> in,
                   const std::vector<core::JobId>& map,
                   std::vector<core::Assignment>& dst) {
     for (const core::Assignment& a : in) {
@@ -33,8 +34,9 @@ core::Schedule merge_schedules(const core::Schedule& s1,
     }
   };
 
+  std::vector<core::Assignment> step;
   while (i1 < b1.size() || i2 < b2.size()) {
-    std::vector<core::Assignment> step;
+    step.clear();
     Time len = 0;
     if (i1 < b1.size() && i2 < b2.size()) {
       len = std::min(b1[i1].length - off1, b2[i2].length - off2);
@@ -59,7 +61,7 @@ core::Schedule merge_schedules(const core::Schedule& s1,
       ++i2;
       off2 = 0;
     }
-    out.append(len, std::move(step));
+    out.append(len, step);
   }
   return out;
 }
@@ -201,14 +203,14 @@ SasValidation validate(const SasInstance& instance, const SasResult& result) {
     flat_to_sorted[flat.original_id(sorted)] = sorted;
   }
   core::Schedule remapped;
-  for (const core::Block& block : result.schedule.blocks()) {
-    std::vector<core::Assignment> step;
-    step.reserve(block.assignments.size());
+  std::vector<core::Assignment> step;
+  for (const core::BlockView block : result.schedule.blocks()) {
+    step.clear();
     for (const core::Assignment& a : block.assignments) {
       if (a.job >= flat.size()) return fail("assignment with invalid job id");
       step.push_back(core::Assignment{flat_to_sorted[a.job], a.share});
     }
-    remapped.append(block.length, std::move(step));
+    remapped.append(block.length, step);
   }
   const core::ValidationResult core_check = core::validate(flat, remapped);
   if (!core_check.ok) return fail("core schedule check: " + core_check.error);
@@ -216,7 +218,7 @@ SasValidation validate(const SasInstance& instance, const SasResult& result) {
   // Completion times must match the schedule.
   std::vector<Time> last_step(flat.size(), 0);
   Time t = 1;
-  for (const core::Block& block : result.schedule.blocks()) {
+  for (const core::BlockView block : result.schedule.blocks()) {
     for (const core::Assignment& a : block.assignments) {
       last_step[a.job] = t + block.length - 1;
     }

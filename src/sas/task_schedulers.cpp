@@ -97,7 +97,7 @@ TaskScheduleResult schedule_tasks_high(const std::vector<Task>& tasks,
       result.completion[task] = t;
       ++cur;  // transition: next task continues within this step
     }
-    result.schedule.append(1, std::move(step));
+    result.schedule.append(1, step);
   }
   return result;
 }
@@ -158,7 +158,7 @@ TaskScheduleResult schedule_tasks_low(const std::vector<Task>& tasks,
         ++cur;
       }
     }
-    result.schedule.append(1, std::move(step));
+    result.schedule.append(1, step);
   }
   return result;
 }

@@ -21,7 +21,7 @@ ScheduleStats analyze(const core::Instance& instance,
   std::vector<core::Time> finish(instance.size(), 0);
 
   core::Time t = 1;
-  for (const core::Block& block : schedule.blocks()) {
+  for (const core::BlockView block : schedule.blocks()) {
     core::Res used = 0;
     for (const core::Assignment& a : block.assignments) {
       used = util::add_checked(used, a.share);

@@ -15,7 +15,7 @@ void job_intervals(std::size_t num_jobs, const core::Schedule& schedule,
   start.assign(num_jobs, 0);
   finish.assign(num_jobs, 0);
   core::Time t = 1;
-  for (const core::Block& block : schedule.blocks()) {
+  for (const core::BlockView block : schedule.blocks()) {
     for (const core::Assignment& a : block.assignments) {
       if (a.job >= num_jobs) {
         throw std::invalid_argument("assign_machines: job id out of range");
@@ -109,7 +109,7 @@ std::string render_utilization(const core::Schedule& schedule,
   std::ostringstream os;
   os << "|";
   std::size_t width = 0;
-  for (const core::Block& block : schedule.blocks()) {
+  for (const core::BlockView block : schedule.blocks()) {
     core::Res used = 0;
     for (const core::Assignment& a : block.assignments) used += a.share;
     const auto level = static_cast<std::size_t>(

@@ -72,7 +72,7 @@ std::string render_svg(const core::Instance& instance,
   svg << "<text x='4' y='" << util_y + options.util_height / 2
       << "'>res</text>\n";
   core::Time t = 1;
-  for (const core::Block& block : schedule.blocks()) {
+  for (const core::BlockView block : schedule.blocks()) {
     core::Res used = 0;
     for (const core::Assignment& a : block.assignments) used += a.share;
     const double frac = static_cast<double>(used) /

@@ -69,7 +69,10 @@ std::size_t default_threads(std::size_t max_threads) {
 WorkerPool::WorkerPool(std::size_t threads, std::size_t queue_capacity)
     : capacity_(std::max<std::size_t>(queue_capacity, 1)) {
   const std::size_t n = std::max<std::size_t>(threads, 1);
-  SHAREDRES_OBS_COUNT("pool.created");
+  // Volatile, like every pool.* metric: `batch` and `serve` build a pool
+  // only at more than one thread, so even the pool count is a fact of the
+  // thread count, not of the input.
+  SHAREDRES_OBS_COUNT_V("pool.created");
   SHAREDRES_OBS_COUNT_N_V("pool.workers_spawned", n);
   workers_.reserve(n);
   for (std::size_t t = 0; t < n; ++t) {
@@ -86,7 +89,7 @@ WorkerPool::~WorkerPool() {
 }
 
 void WorkerPool::submit(std::function<void(std::size_t)> task) {
-  SHAREDRES_OBS_COUNT("pool.tasks_submitted");
+  SHAREDRES_OBS_COUNT_V("pool.tasks_submitted");
   std::unique_lock<std::mutex> lock(mutex_);
   if (closed_) throw std::logic_error("WorkerPool::submit after close");
   if (queue_.size() >= capacity_) {

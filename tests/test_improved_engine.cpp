@@ -15,6 +15,7 @@
 //    portfolio's makespan stays within the improved paper's target ratio of
 //    the Eq. (1) lower bound — compared exactly in util::Rational, no
 //    floats (EXPERIMENTS.md E17).
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <tuple>
@@ -151,14 +152,15 @@ TEST_P(ImprovedFamilySweep, StepwiseEqualsFastForward) {
   std::size_t fast_block = 0;
   Time covered = 0;
   bool agree = true;
-  slow.for_each_block([&](Time first_step, const core::Block& block) {
+  slow.for_each_block([&](Time first_step, core::BlockView block) {
     while (fast_block < fast.blocks().size() &&
            covered + fast.blocks()[fast_block].length < first_step) {
       covered += fast.blocks()[fast_block].length;
       ++fast_block;
     }
     agree = agree && fast_block < fast.blocks().size() &&
-            fast.blocks()[fast_block].assignments == block.assignments;
+            std::ranges::equal(fast.blocks()[fast_block].assignments,
+                               block.assignments);
   });
   EXPECT_TRUE(agree) << "stepwise and fast-forward schedules diverge";
 }
@@ -221,8 +223,8 @@ TEST_P(ImprovedFamilySweep, UniformResourceScalingPreservesStructure) {
   ASSERT_EQ(base.makespan(), big.makespan());
   ASSERT_EQ(base.blocks().size(), big.blocks().size());
   for (std::size_t b = 0; b < base.blocks().size(); ++b) {
-    const core::Block& lhs = base.blocks()[b];
-    const core::Block& rhs = big.blocks()[b];
+    const core::BlockView lhs = base.blocks()[b];
+    const core::BlockView rhs = big.blocks()[b];
     ASSERT_EQ(lhs.length, rhs.length) << "block " << b;
     ASSERT_EQ(lhs.assignments.size(), rhs.assignments.size()) << "block " << b;
     for (std::size_t a = 0; a < lhs.assignments.size(); ++a) {

@@ -357,8 +357,10 @@ TEST(Traffic, InstanceThrowsWhenProcessCannotDeliver) {
 /// Expand a schedule into per-step assignment lists (step 1..makespan).
 std::vector<std::vector<core::Assignment>> expand(const core::Schedule& s) {
   std::vector<std::vector<core::Assignment>> steps;
-  for (const core::Block& b : s.blocks()) {
-    for (Time t = 0; t < b.length; ++t) steps.push_back(b.assignments);
+  for (const core::BlockView b : s.blocks()) {
+    for (Time t = 0; t < b.length; ++t) {
+      steps.emplace_back(b.assignments.begin(), b.assignments.end());
+    }
   }
   return steps;
 }

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "batch/pipeline.hpp"
@@ -716,53 +717,75 @@ TEST(ServiceSummaryLine, CarriesCountsAndDeterministicMetrics) {
 
 TEST(ServiceSummaryLine, MetricsEqualTheBatchSummaryMetrics) {
   // batch and serve share one worker side, so one stream yields one metrics
-  // block through either: repeats (cache hits), a malformed line, an invalid
-  // record, and a step-capped record given twice (with the cache on, its
-  // repeat waits on an abandoned entry and solves locally).
-  std::vector<std::string> lines = request_lines(4);
-  const std::vector<std::string> once = lines;
-  lines.insert(lines.end(), once.begin(), once.end());
-  lines.push_back("{not json");
-  lines.push_back(R"({"id":"bad","machines":0,"capacity":1,"jobs":[]})");
+  // block through either. The mixed stream has repeats (cache hits), a
+  // malformed line, an invalid record, and a step-capped record given twice
+  // (with the cache on, its repeat waits on an abandoned entry and solves
+  // locally). On the empty stream and the one where no record succeeds, the
+  // summary counters nothing bumped must still show, as zeros, in both.
+  std::vector<std::string> mixed = request_lines(4);
+  const std::vector<std::string> once = mixed;
+  mixed.insert(mixed.end(), once.begin(), once.end());
+  mixed.push_back("{not json");
+  mixed.push_back(R"({"id":"bad","machines":0,"capacity":1,"jobs":[]})");
   util::Json doomed = util::Json::parse(request_lines(1, /*jobs=*/100)[0]);
   doomed.emplace("deadline_steps", 1);
-  lines.push_back(doomed.dump());
-  lines.push_back(doomed.dump());
-  std::string input;
-  for (const std::string& line : lines) input += line + "\n";
+  mixed.push_back(doomed.dump());
+  mixed.push_back(doomed.dump());
+  const std::vector<std::string> failing = {
+      "{not json", R"({"id":"bad","machines":0,"capacity":1,"jobs":[]})",
+      doomed.dump()};
+  const std::vector<std::pair<std::string, std::vector<std::string>>>
+      streams = {{"mixed", mixed}, {"empty", {}}, {"failing", failing}};
 
-  for (const std::size_t capacity : {0u, 16u}) {
-    for (const std::size_t threads : {1u, 2u}) {
-      batch::BatchOptions batch_options;
-      batch_options.threads = threads;
-      batch_options.cache_capacity = capacity;
-      std::istringstream in(input);
-      std::ostringstream out;
-      const batch::BatchSummary batched =
-          batch::run_batch(in, out, batch_options);
+  for (const auto& [name, lines] : streams) {
+    std::string input;
+    for (const std::string& line : lines) input += line + "\n";
+    for (const std::size_t capacity : {0u, 16u}) {
+      for (const std::size_t threads : {1u, 2u}) {
+        batch::BatchOptions batch_options;
+        batch_options.threads = threads;
+        batch_options.cache_capacity = capacity;
+        std::istringstream in(input);
+        std::ostringstream out;
+        const batch::BatchSummary batched =
+            batch::run_batch(in, out, batch_options);
 
-      ServiceOptions options;
-      options.threads = threads;
-      options.cache_capacity = capacity;
-      Service service(options);
-      CollectingSink sink;
-      auto client = service.open_client(sink.writer());
-      for (const std::string& line : lines) service.submit(client, line);
-      const ServiceSummary served = service.finish();
+        ServiceOptions options;
+        options.threads = threads;
+        options.cache_capacity = capacity;
+        Service service(options);
+        CollectingSink sink;
+        auto client = service.open_client(sink.writer());
+        for (const std::string& line : lines) service.submit(client, line);
+        const ServiceSummary served = service.finish();
 
-      const std::string where = "cache=" + std::to_string(capacity) +
-                                " threads=" + std::to_string(threads);
-      EXPECT_EQ(served.metrics.dump(), batched.metrics.dump()) << where;
-      EXPECT_EQ(served.ok, batched.ok) << where;
-      EXPECT_EQ(served.failed, batched.failed) << where;
-      const util::Json& counters = served.metrics.at("counters");
-      EXPECT_EQ(counters.at("batch.records_failed").as_double(), 4) << where;
-      EXPECT_EQ(counters.at("batch.deadline_exceeded").as_double(), 2)
-          << where;
-      if (capacity > 0) {
-        EXPECT_EQ(counters.at("cache.hits").as_double(), 5) << where;
-      } else {
-        EXPECT_FALSE(counters.contains("cache.hits")) << where;
+        const std::string where = name + " cache=" + std::to_string(capacity) +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_EQ(served.metrics.dump(), batched.metrics.dump()) << where;
+        EXPECT_EQ(served.ok, batched.ok) << where;
+        EXPECT_EQ(served.failed, batched.failed) << where;
+        const util::Json& counters = served.metrics.at("counters");
+        EXPECT_EQ(counters.at("batch.records").as_double(),
+                  static_cast<double>(lines.size()))
+            << where;
+        if (name != "mixed") {
+          EXPECT_EQ(counters.at("batch.records_ok").as_double(), 0) << where;
+          EXPECT_EQ(counters.at("batch.makespan_sum").as_double(), 0)
+              << where;
+          EXPECT_EQ(counters.at("batch.records_failed").as_double(),
+                    static_cast<double>(lines.size()))
+              << where;
+          continue;
+        }
+        EXPECT_EQ(counters.at("batch.records_failed").as_double(), 4)
+            << where;
+        EXPECT_EQ(counters.at("batch.deadline_exceeded").as_double(), 2)
+            << where;
+        if (capacity > 0) {
+          EXPECT_EQ(counters.at("cache.hits").as_double(), 5) << where;
+        } else {
+          EXPECT_FALSE(counters.contains("cache.hits")) << where;
+        }
       }
     }
   }

@@ -4,6 +4,10 @@
 // stepwise/fast-forward equivalence.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/instance.hpp"
 #include "core/lower_bounds.hpp"
 #include "core/sos_engine.hpp"
@@ -73,6 +77,96 @@ TEST(SosEngine, AtMostOneFracturedJobAfterEveryStep) {
       if (core::is_fractured(inst, j, engine.remaining(j))) ++fractured;
     }
     ASSERT_LE(fractured, 1);
+  }
+}
+
+/// Checks, after every emitted block of a run, that each job's fractured
+/// flag equals the remainder test.
+class FracturedFlagCheck final : public core::StepObserver {
+ public:
+  FracturedFlagCheck(const Instance& inst, const core::SosEngine& engine)
+      : inst_(inst), engine_(engine) {}
+  void on_step(const core::StepInfo& info) override {
+    for (core::JobId j = 0; j < inst_.size() && mismatch_.empty(); ++j) {
+      if (engine_.fractured(j) !=
+          (engine_.remaining(j) % inst_.job(j).requirement != 0)) {
+        mismatch_ = "job " + std::to_string(j) + " after the block at step " +
+                    std::to_string(info.first_step) + " (repeat " +
+                    std::to_string(info.repeat) + ")";
+      }
+    }
+  }
+  [[nodiscard]] const std::string& mismatch() const { return mismatch_; }
+
+ private:
+  const Instance& inst_;
+  const core::SosEngine& engine_;
+  std::string mismatch_;
+};
+
+TEST(SosEngine, FracturedFlagEqualsTheRemainderTestAfterEveryStep) {
+  // apply() refreshes a job's fractured flag only when its share is below
+  // r_j, and find_fractured() reads the flags instead of dividing. After
+  // every step, and after every fast-forwarded block of a run, the flag
+  // must equal s_j(t) mod r_j != 0, on every generator family, strict and
+  // under E6's non-strict ablations (bench_ablation).
+  struct Variant {
+    const char* name;
+    bool grow_left, move_right, extra_job;
+  };
+  const Variant variants[] = {{"full", true, true, true},
+                              {"no_growleft", false, true, true},
+                              {"no_moveright", true, false, true},
+                              {"no_extra", true, true, false}};
+  std::vector<std::pair<std::string, Instance>> instances;
+  for (const int m : {3, 8}) {
+    workloads::SosConfig cfg;
+    cfg.machines = m;
+    cfg.capacity = 1000;
+    cfg.jobs = 60;
+    cfg.max_size = 4;
+    cfg.seed = static_cast<std::uint64_t>(m);
+    for (const std::string& family : workloads::instance_families()) {
+      instances.emplace_back(family + "/m" + std::to_string(m),
+                             workloads::make_instance(family, cfg));
+    }
+    instances.emplace_back("front_accumulation/m" + std::to_string(m),
+                           workloads::front_accumulation_instance(cfg));
+    instances.emplace_back(
+        "tiny_grid/m" + std::to_string(m),
+        workloads::tiny_grid_instance(m, 12, 6, 5, cfg.seed));
+  }
+  for (const auto& [label, inst] : instances) {
+    for (const Variant& v : variants) {
+      SCOPED_TRACE(label + " " + v.name);
+      const bool ablated = !(v.grow_left && v.move_right && v.extra_job);
+      const core::SosEngine::Params params{
+          .window_cap = static_cast<std::size_t>(inst.machines() - 1),
+          .budget = inst.capacity(),
+          .allow_extra_job = v.extra_job,
+          .grow_left = v.grow_left,
+          .move_right = v.move_right,
+          .strict = !ablated};
+      core::SosEngine engine(inst, params);
+      Time steps = 0;
+      while (!engine.done()) {
+        engine.step();
+        ++steps;
+        for (core::JobId j = 0; j < inst.size(); ++j) {
+          ASSERT_EQ(engine.fractured(j),
+                    engine.remaining(j) % inst.job(j).requirement != 0)
+              << "job " << j << " after step " << steps;
+        }
+      }
+      EXPECT_GT(steps, 0);
+
+      core::SosEngine fast(inst, params);
+      FracturedFlagCheck check(inst, fast);
+      core::Schedule schedule;
+      fast.run(schedule, /*fast_forward=*/true, &check);
+      EXPECT_EQ(check.mismatch(), "");
+      EXPECT_EQ(schedule.makespan(), steps);
+    }
   }
 }
 

@@ -651,7 +651,7 @@ TEST(ValidatorGrid, InjectedViolationsAgreeOnEverySolverAndFamily) {
     for (const Injection& injection : kInjections) {
       SCOPED_TRACE(injection.name);
       const std::optional<Blocks> bad =
-          injection.inject(c.instance, clean.blocks());
+          injection.inject(c.instance, clean.copy_blocks());
       if (!bad) continue;
       const Outcome got = agree(c.instance, build(*bad));
       ASSERT_TRUE(got.first.has_value());

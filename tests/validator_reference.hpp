@@ -32,7 +32,7 @@ struct Verdict {
 /// visits (empty steps count one).
 inline bool expandable(const Schedule& schedule, std::int64_t max_cells) {
   Wide cells = 0;
-  for (const Block& block : schedule.blocks()) {
+  for (const BlockView block : schedule.blocks()) {
     const auto width = std::max<std::size_t>(block.assignments.size(), 1);
     cells += static_cast<Wide>(std::max<Time>(block.length, 0)) *
              static_cast<Wide>(width);
@@ -56,7 +56,7 @@ inline Verdict check(const Instance& instance, const Schedule& schedule) {
   std::vector<Wide> load(axes);
 
   Time t = 0;
-  for (const Block& block : schedule.blocks()) {
+  for (const BlockView block : schedule.blocks()) {
     if (block.length <= 0) {
       return fail(t + 1, "a block of non-positive length");
     }
