@@ -11,13 +11,14 @@
 //   --max-n          cap on the sweep sizes (default 256000); CI smoke runs
 //                    pass a small cap so the bench finishes in seconds
 //   --adversarial-n  size of the front-accumulation case (default 256000)
-//   --parallel-n     size of the E14 scalar-vs-parallel unit-engine cells
+//   --parallel-n     size of the E14 heavy-regime unit-engine cells
 //                    (default 0 = section skipped, keeping the default
 //                    invocation's label set — and with it the checked-in CI
 //                    baseline — unchanged)
 #include <iostream>
 #include <string>
 
+#include "core/engine_scratch.hpp"
 #include "core/sos_scheduler.hpp"
 #include "harness.hpp"
 #include "util/cli.hpp"
@@ -139,16 +140,17 @@ int main(int argc, char** argv) {
   }
   h.table(adv);
 
-  // E14 — the descriptor-parallel unit engine (core/parallel_unit.hpp)
-  // against the scalar linked-list engine on the heavy prefix-consumption
-  // regime: m = 512, r_j uniform on [0.002, 0.004]·C, so every window turns
-  // heavy within ≤ 500 members and the fast path never bails. The schedules
-  // are asserted equal before any timing is reported — a fast wrong answer
-  // must fail the bench, not set a baseline.
+  // E14 — the unit engine's prefix scan (core/unit_engine.hpp) against its
+  // stepwise walk on the heavy prefix regime: m = 512, r_j uniform on
+  // [0.002, 0.004]·C, so the 512 smallest r_j already sum past C and every
+  // fast-forward run takes the scan. No r_j reaches C, so the stepwise walk
+  // emits the fast-forward walk's blocks one for one. The schedules are
+  // asserted equal before any timing is reported — a fast wrong answer must
+  // fail the bench, not set a baseline.
   const auto par_n = static_cast<std::size_t>(cli.get_int("parallel-n", 0));
   if (par_n > 0) {
     h.section(
-        "E14  Scalar vs descriptor-parallel unit engine, heavy regime "
+        "E14  Unit engine, prefix scan vs stepwise walk, heavy regime "
         "(m = 512, r ∈ [0.002, 0.004]·C)");
     workloads::SosConfig cfg;
     cfg.machines = 512;
@@ -158,44 +160,34 @@ int main(int argc, char** argv) {
     cfg.seed = 7;
     const core::Instance inst = workloads::uniform_instance(cfg, 0.002, 0.004);
 
-    const core::Schedule scalar_schedule = core::schedule_sos_unit(inst);
-    util::Table par({"engine", "threads", "n", "min_ms", "median_ms",
-                     "jobs_per_s", "speedup_vs_scalar"});
-    double scalar_min = 0.0;
-    {
-      core::Time span = 0;
-      const bench::Timing t = h.measure(
-          cell_label("unit_scalar", par_n, 512), reps,
-          [&] { span = core::schedule_sos_unit(inst).makespan(); },
-          static_cast<double>(par_n));
-      scalar_min = t.seconds_min;
-      par.add("unit_scalar", "-", par_n, util::fixed(t.seconds_min * 1e3, 3),
-              util::fixed(t.seconds_median * 1e3, 3),
-              util::fixed(t.items_per_second, 0), "1.00");
+    if (!(core::schedule_sos_unit(inst) ==
+          core::schedule_sos_unit(inst, {.fast_forward = false}))) {
+      std::cerr << "bench_runtime: the prefix scan's schedule differs from "
+                   "the stepwise walk's\n";
+      return 1;
     }
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      core::SosOptions options;
-      options.parallel_threads = threads;
-      const core::Schedule check = core::schedule_sos_unit(inst, options);
-      if (!(check == scalar_schedule)) {
-        std::cerr << "bench_runtime: parallel schedule (t=" << threads
-                  << ") differs from the scalar engine's\n";
-        return 1;
-      }
-      core::Time span = 0;
+    util::Table e14({"engine", "n", "min_ms", "median_ms", "jobs_per_s",
+                     "speedup_vs_walk"});
+    // Both rows reuse one engine scratch and one output schedule across
+    // reps, as a batch worker does: a fresh 16 MB schedule per rep would
+    // time the allocator's first-touch page faults, not the engine.
+    core::EngineScratch engines;
+    core::Schedule out;
+    double walk_min = 0.0;
+    for (const bool prefix : {false, true}) {
+      const char* engine = prefix ? "unit_prefix" : "unit_walk";
+      const core::SosOptions options{.fast_forward = prefix};
       const bench::Timing t = h.measure(
-          "unit_parallel/t=" + std::to_string(threads) +
-              "/n=" + std::to_string(par_n) + "/m=512",
-          reps,
-          [&] { span = core::schedule_sos_unit(inst, options).makespan(); },
+          cell_label(engine, par_n, 512), reps,
+          [&] { core::schedule_sos_unit(inst, out, engines, options); },
           static_cast<double>(par_n));
-      par.add("unit_parallel", threads, par_n,
-              util::fixed(t.seconds_min * 1e3, 3),
+      if (!prefix) walk_min = t.seconds_min;
+      e14.add(engine, par_n, util::fixed(t.seconds_min * 1e3, 3),
               util::fixed(t.seconds_median * 1e3, 3),
               util::fixed(t.items_per_second, 0),
-              util::fixed(scalar_min / t.seconds_min, 2));
+              util::fixed(walk_min / t.seconds_min, 2));
     }
-    h.table(par);
+    h.table(e14);
   }
 
   return h.finish();

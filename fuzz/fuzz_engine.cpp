@@ -13,10 +13,11 @@
 //
 // schedule_improved runs through the same two oracles plus a third,
 // differential one: the portfolio picks the best of its candidates, so its
-// makespan may never exceed schedule_sos's on the same instance. Its
-// stepwise/fast-forward identity is checked too (the balanced engine's
-// absorber makes that path qualitatively different from the SoS window
-// engine's — see core/improved_engine.hpp).
+// makespan may never exceed schedule_sos's on the same instance. Every
+// engine's fast-forward run must equal its stepwise run: the balanced
+// engine's absorber (core/improved_engine.hpp) and the unit engine's prefix
+// scan (core/unit_engine.hpp) make that path qualitatively different from
+// the SoS window engine's.
 //
 // The input is valid by construction, so NO exception may escape: a throw,
 // an infeasible schedule, or a makespan below the lower bound each abort()
@@ -89,7 +90,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     die("sos", "fast-forward and stepwise schedules differ");
   }
   if (unit) {
-    cross_check("unit", inst, core::schedule_sos_unit(inst), bound);
+    const core::Schedule unit_schedule = core::schedule_sos_unit(inst);
+    cross_check("unit", inst, unit_schedule, bound);
+    if (core::schedule_sos_unit(inst, stepwise) != unit_schedule) {
+      die("unit", "fast-forward and stepwise schedules differ");
+    }
   }
 
   const core::Schedule improved = core::schedule_improved(inst);

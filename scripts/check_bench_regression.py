@@ -39,8 +39,7 @@ only compared between identical invocations.
 Cross-run equality gate (--equal-across): given two or more directories of
 artifacts from the SAME bench invocation at DIFFERENT SHAREDRES_THREADS
 values, the deterministic metric blocks must be EXACTLY equal pairwise —
-the determinism contract of the parallel engine paths (DESIGN.md §12) made
-executable. Any key differing between two thread counts is a hard failure.
+the determinism contract (DESIGN.md §12) made executable. Any key differing between two thread counts is a hard failure.
 Timings are of course not compared in this mode.
 
 Exit status: 0 = all checks passed, 1 = regression or schema violation,

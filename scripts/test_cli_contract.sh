@@ -38,6 +38,32 @@ expect "non-numeric --machines" 2 $?
 "$CLI" gen --machines=99999999999999999999 >/dev/null 2>&1
 expect "overflowing --machines" 2 $?
 
+# Count flags that a cast would wrap are usage errors naming the flag, not a
+# vector::reserve failure (exit 1) or a silently different instance.
+"$CLI" gen --jobs=-1 >/dev/null 2> "$tmp/wrap.err"
+expect "gen --jobs=-1" 2 $?
+grep -q -- '--jobs' "$tmp/wrap.err" || {
+  echo 'FAIL: gen --jobs=-1 does not name the flag'
+  fail=1
+}
+"$CLI" gen --machines=4294967298 --out="$tmp/wrapped.txt" >/dev/null 2>&1
+expect "gen --machines=4294967298" 2 $?
+[ ! -e "$tmp/wrapped.txt" ] || {
+  echo 'FAIL: gen --machines=4294967298 wrote an instance'
+  fail=1
+}
+"$CLI" gen --machines=-4294967294 >/dev/null 2>&1
+expect "gen --machines=-4294967294" 2 $?
+"$CLI" loadgen --socket=x --requests=-1 >/dev/null 2>&1
+expect "loadgen --requests=-1" 2 $?
+"$CLI" loadgen --socket=x --jobs=-1 >/dev/null 2>&1
+expect "loadgen --jobs=-1" 2 $?
+"$CLI" loadgen --socket=x --machines=4294967298 >/dev/null 2>&1
+expect "loadgen --machines=4294967298" 2 $?
+"$CLI" validate --instance="$tmp/missing.txt" --schedule="$tmp/missing.txt" \
+  --max-violations=-1 >/dev/null 2>&1
+expect "validate --max-violations=-1" 2 $?
+
 "$CLI" solve --instance=x --algorithm=nope >/dev/null 2>&1
 expect "unknown --algorithm" 2 $?
 
@@ -147,11 +173,6 @@ grep -q "algorithm 'window' requires a single resource; the instance has 2" \
   echo 'FAIL: solve --algorithm=window on d=2 lacks the typed message'
   fail=1
 }
-
-# --parallel stays a unit-engine-only flag.
-"$CLI" solve --instance="$tmp/inst.txt" --algorithm=improved --parallel=2 \
-  >/dev/null 2>&1
-expect "solve improved rejects --parallel" 2 $?
 
 "$CLI" validate --instance="$tmp/inst.txt" --schedule="$tmp/sched.txt" \
   --json > "$tmp/ok.json" 2>/dev/null

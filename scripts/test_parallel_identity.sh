@@ -1,9 +1,9 @@
-# Proves the parallel-engine identity contract through the real binary:
-# `sharedres_cli solve --algorithm=unit --parallel=N` must write a schedule
-# file byte-identical (cmp) to the scalar engine's, at every pinned
-# SHAREDRES_THREADS value, on both a heavy-regime instance (the fast path
-# applies end to end) and a front-accumulation instance (the fast path must
-# bail and fall back). Run by ctest as cli_parallel_identity (label tier1).
+# Proves the unit engine's thread-count identity through the real binary:
+# `sharedres_cli solve --algorithm=unit --out` must write cmp-identical
+# schedule files at every pinned SHAREDRES_THREADS value, and `validate` must
+# accept each, on a heavy instance (fast-forward takes the prefix scan end to
+# end) and a light one (the walk slides, so the engine walks). Run by ctest
+# as cli_parallel_identity (label tier1).
 #
 #   usage: test_parallel_identity.sh <path-to-sharedres_cli>
 set -u
@@ -17,9 +17,9 @@ fail() {
   exit 1
 }
 
-# gen <machines> <out>: unit-size uniform instances. At m=128 the default
-# r-range keeps every window heavy (the fast path applies end to end); at
-# m=4 light windows slide, so the fast path must bail and fall back.
+# gen <machines> <out>: unit-size uniform instances. At m=128 the 128
+# smallest requirements sum past C (the prefix regime); at m=4 the first
+# window is light and slides, so the engine walks.
 gen() {
   "$CLI" gen --family=uniform --machines="$1" --jobs=4000 --max-size=1 \
     --seed=9 --out="$2" > /dev/null || fail "gen (m=$1) exited $?"
@@ -29,22 +29,16 @@ gen 128 "$TMP/heavy.txt"
 gen 4 "$TMP/light.txt"
 
 for inst in heavy light; do
-  "$CLI" solve --instance="$TMP/$inst.txt" --algorithm=unit \
-    --out="$TMP/$inst.scalar" > /dev/null \
-    || fail "scalar solve ($inst) exited $?"
   for threads in 1 2 8; do
     SHAREDRES_THREADS=$threads "$CLI" solve --instance="$TMP/$inst.txt" \
-      --algorithm=unit --parallel=$threads \
-      --out="$TMP/$inst.par$threads" > /dev/null \
-      || fail "parallel solve ($inst, threads=$threads) exited $?"
-    cmp -s "$TMP/$inst.scalar" "$TMP/$inst.par$threads" \
-      || fail "schedule differs: $inst scalar vs --parallel=$threads"
+      --algorithm=unit --out="$TMP/$inst.t$threads" > /dev/null \
+      || fail "solve ($inst, threads=$threads) exited $?"
+    cmp -s "$TMP/$inst.t1" "$TMP/$inst.t$threads" \
+      || fail "schedule differs: $inst at threads 1 vs $threads"
+    "$CLI" validate --instance="$TMP/$inst.txt" \
+      --schedule="$TMP/$inst.t$threads" > /dev/null \
+      || fail "validate rejects $inst at threads=$threads"
   done
 done
 
-# Flag contract: --parallel with a non-unit algorithm is a usage error.
-"$CLI" solve --instance="$TMP/heavy.txt" --algorithm=window --parallel=2 \
-  > /dev/null 2>&1
-[ $? -eq 2 ] || fail "--parallel with --algorithm=window must exit 2"
-
-echo "OK: parallel schedules byte-identical to scalar across thread counts"
+echo "OK: unit schedules byte-identical and valid across thread counts"

@@ -17,8 +17,8 @@ namespace sharedres::batch {
 Workers::Workers(const BatchOptions& options, bool pooled)
     : options_(options) {
   if (options.cache_capacity > 0) {
-    cache_.emplace(cache::SolveCache::Config{options.cache_capacity,
-                                             options.cache_shards});
+    cache_.emplace(
+        cache::SolveCache::Config{.capacity = options.cache_capacity});
   }
   if (pooled) pool_.emplace(options.threads, options.queue_capacity);
   const std::size_t workers = pool_ ? pool_->threads() : 1;

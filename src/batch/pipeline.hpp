@@ -89,8 +89,6 @@ struct BatchOptions : WorkOptions {
   /// per-record output lines stay byte-identical to a cache-off run, and the
   /// summary grows deterministic cache.* metrics. 0 = off.
   std::size_t cache_capacity = 0;
-  /// Shard count for the solve cache (clamped to the capacity).
-  std::size_t cache_shards = 8;
 };
 
 /// Aggregate outcome, mirrored by the emitted summary line.

@@ -238,25 +238,17 @@ void Instance::build_primary_arrays() {
     unit_size_ = unit_size_ && j.size == 1;
   }
 
-  // SoA mirrors of the sorted job array plus prefix sums, built once so the
-  // engines' window scans read contiguous 8-byte lanes (instance.hpp). The
-  // checked total above bounds every prefix (r_j ≤ s_j since p_j ≥ 1), so
-  // plain additions cannot overflow here.
+  // SoA mirrors of the sorted job array, built once so the engines' window
+  // scans read contiguous 8-byte lanes (instance.hpp). The checked total
+  // above bounds every s_j, so the products cannot overflow here.
   const std::size_t n = jobs_.size();
   requirements_.resize(n);
   sizes_.resize(n);
   total_requirements_.resize(n);
-  requirement_prefix_.resize(n + 1);
-  total_requirement_prefix_.resize(n + 1);
-  requirement_prefix_[0] = 0;
-  total_requirement_prefix_[0] = 0;
   for (std::size_t j = 0; j < n; ++j) {
     requirements_[j] = jobs_[j].requirement;
     sizes_[j] = jobs_[j].size;
     total_requirements_[j] = jobs_[j].requirement * jobs_[j].size;
-    requirement_prefix_[j + 1] = requirement_prefix_[j] + requirements_[j];
-    total_requirement_prefix_[j + 1] =
-        total_requirement_prefix_[j] + total_requirements_[j];
   }
 }
 

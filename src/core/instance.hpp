@@ -123,26 +123,6 @@ class Instance {
     return total_requirements_;
   }
 
-  /// Prefix sums over requirements(): element i is Σ_{j<i} r_j, size n+1.
-  /// Σ r_j over the contiguous sorted range [lo, hi) is a two-load O(1)
-  /// query: requirement_prefix()[hi] - requirement_prefix()[lo].
-  [[nodiscard]] const std::vector<Res>& requirement_prefix() const {
-    return requirement_prefix_;
-  }
-  /// Prefix sums over total_requirements(): element i is Σ_{j<i} s_j.
-  [[nodiscard]] const std::vector<Res>& total_requirement_prefix() const {
-    return total_requirement_prefix_;
-  }
-  /// Σ r_j over sorted jobs [lo, hi); requires lo ≤ hi ≤ size().
-  [[nodiscard]] Res requirement_range(std::size_t lo, std::size_t hi) const {
-    return requirement_prefix_[hi] - requirement_prefix_[lo];
-  }
-  /// Σ s_j over sorted jobs [lo, hi); requires lo ≤ hi ≤ size().
-  [[nodiscard]] Res total_requirement_range(std::size_t lo,
-                                            std::size_t hi) const {
-    return total_requirement_prefix_[hi] - total_requirement_prefix_[lo];
-  }
-
   /// Index of sorted job j in the constructor's job vector.
   [[nodiscard]] std::size_t original_id(JobId j) const { return original_[j]; }
 
@@ -154,7 +134,7 @@ class Instance {
   [[nodiscard]] bool unit_size() const { return unit_size_; }
 
  private:
-  /// Totals + SoA/prefix construction shared by both constructors; runs after
+  /// Totals + SoA construction shared by both constructors; runs after
   /// jobs_ is sorted. Fills total_requirement_, total_size_, unit_size_ and
   /// every primary-axis array.
   void build_primary_arrays();
@@ -166,8 +146,6 @@ class Instance {
   std::vector<Res> requirements_;
   std::vector<Res> sizes_;
   std::vector<Res> total_requirements_;
-  std::vector<Res> requirement_prefix_;        // size n+1
-  std::vector<Res> total_requirement_prefix_;  // size n+1
   Res total_requirement_ = 0;
   Res total_size_ = 0;
   bool unit_size_ = true;

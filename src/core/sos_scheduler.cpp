@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "core/engine_scratch.hpp"
-#include "core/parallel_unit.hpp"
 
 namespace sharedres::core {
 
@@ -50,15 +49,6 @@ void schedule_sos_unit(const Instance& instance, Schedule& out,
   }
   out.reset();
   if (instance.empty()) return;
-  // Descriptor-parallel fast path: stepwise runs and observers need the
-  // scalar engine's per-step machinery. A bail (instance outside the heavy
-  // regime) falls through to the scalar engine with `out` untouched.
-  if (options.parallel_threads > 0 && options.fast_forward &&
-      options.observer == nullptr) {
-    if (schedule_unit_parallel(instance, out, options.parallel_threads)) {
-      return;
-    }
-  }
   bind_engine(engines.unit, instance)
       .run(out, options.fast_forward, options.observer);
 }

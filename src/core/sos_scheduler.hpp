@@ -1,8 +1,6 @@
 // Public entry points for the SoS approximation algorithms (paper Section 3).
 #pragma once
 
-#include <cstddef>
-
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "core/trace.hpp"
@@ -18,12 +16,6 @@ struct SosOptions {
   bool fast_forward = true;
   /// Optional per-block instrumentation sink.
   StepObserver* observer = nullptr;
-  /// > 0 enables the descriptor-parallel unit engine (core/parallel_unit.hpp)
-  /// with this worker bound. Applies only to schedule_sos_unit, and only
-  /// with fast_forward and no observer; the fast path bails back to the
-  /// scalar engine outside its regime, so the schedule is always
-  /// bit-identical to the scalar run regardless of this setting.
-  std::size_t parallel_threads = 0;
 };
 
 /// Listing 1: the 2 + 1/(m−2) approximation for jobs of arbitrary size.
@@ -42,7 +34,9 @@ void schedule_sos(const Instance& instance, Schedule& out,
 /// The Section-3 unit-size modification: m-maximal windows, the single
 /// started job is treated as a job of requirement s_ι(t−1) and virtually
 /// reordered. Asymptotic ratio 1 + 1/(m−1); concretely
-/// |S| ≤ m/(m−1)·|OPT| + 1. Requires m ≥ 2 and all p_j = 1.
+/// |S| ≤ m/(m−1)·|OPT| + 1. Requires m ≥ 2 and all p_j = 1. With
+/// fast_forward, an instance in the prefix regime (core/unit_engine.hpp) is
+/// scheduled by one scan of its sorted requirements; same schedule.
 [[nodiscard]] Schedule schedule_sos_unit(const Instance& instance,
                                          const SosOptions& options = {});
 

@@ -34,7 +34,18 @@ void UnitEngine::reset(const Instance& instance) {
   ensure(instance.unit_size(), "unit-size jobs required");
   ensure(m_ >= 2, "m >= 2 required");
 
-  const std::size_t n = instance.size();
+  remaining_jobs_ = instance.size();
+  iota_ = kNoJob;
+  cursor_ = kNoJob;
+  now_ = 0;
+  walk_built_ = false;
+  next_unstarted_ = 0;
+  iota_key_ = 0;
+  stats_ = {};  // a prior run that threw may have left stats behind
+}
+
+void UnitEngine::build_walk() {
+  const std::size_t n = inst_->size();
   rem_.resize(n);
   // Unit sizes: s_j = r_j, so the initial keys are a straight copy of the
   // contiguous SoA requirement lane.
@@ -54,15 +65,22 @@ void UnitEngine::reset(const Instance& instance) {
   prev_[tail_] = last;
   next_[tail_] = tail_;
   prev_[head_] = head_;
-  remaining_jobs_ = n;
 
   succ_.resize(n + 1);
   for (JobId i = 0; i <= n; ++i) succ_[i] = i;  // index n == "past the end"
+  walk_built_ = true;
+}
 
-  iota_ = kNoJob;
-  cursor_ = kNoJob;
-  now_ = 0;
-  stats_ = {};  // a prior run that threw may have left stats behind
+bool UnitEngine::prefix_regime() const {
+  const std::size_t n = inst_->size();
+  if (n <= m_) return true;
+  // Requirements are sorted, so every later unstarted m-window sums to at
+  // least the first one. The Instance checked Σ r_j, so the sum is exact.
+  Res first_window = 0;
+  for (std::size_t j = 0; j < m_ && first_window < capacity_; ++j) {
+    first_window += reqs_[j];
+  }
+  return first_window >= capacity_;
 }
 
 JobId UnitEngine::find_alive(JobId i) const {
@@ -242,7 +260,82 @@ void UnitEngine::execute_solo(const StepPlan& plan, StepInfo& info) {
   if (obs::enabled()) ++stats_.fast_forward_blocks;
 }
 
+void UnitEngine::prefix_block(StepInfo& info) {
+  const std::size_t n = inst_->size();
+  const bool started = iota_ != kNoJob;
+  if (obs::enabled()) {
+    ++(started ? stats_.iota_resumes : stats_.window_rebuilds);
+  }
+  clear_info(info);
+  std::vector<Assignment>& shares = info.shares;
+  // The walk's window: ι (or, without one, job c) at the front of the
+  // virtual order, so GrowWindowLeft has nothing to take; GrowWindowRight
+  // takes the next unstarted jobs in sorted order, each at its full
+  // requirement until the last member's share is known. Members are ι and
+  // [c, end).
+  JobId end = next_unstarted_;
+  Res wkey = iota_key_;
+  if (started) {
+    shares.push_back({iota_, iota_key_});
+  } else {
+    shares.push_back({end, reqs_[end]});
+    wkey = reqs_[end++];
+  }
+  while (wkey < capacity_ && end < n && shares.size() < m_) {
+    shares.push_back({end, reqs_[end]});
+    wkey = util::add_checked(wkey, reqs_[end++]);
+  }
+  const std::size_t wsize = shares.size();
+  if (obs::enabled()) stats_.walk_hops += wsize - 1;
+  // MoveWindowRight slides a light window of unstarted jobs only; the
+  // prefix regime rules that out.
+  ensure(started || wkey >= capacity_ || end == n,
+         "prefix window would slide");
+  Assignment& last = shares.back();
+  const Res others = wkey - last.share;
+  ensure(others < capacity_, "Property (b) violated by the unit window");
+  const Res max_share = std::min(capacity_ - others, last.share);
+  ensure(max_share > 0, "unit window assigns max W a zero share");
+
+  info.first_step = now_ + 1;
+  info.window_size = wsize;
+  info.window_requirement = wkey;
+  info.left_border = true;
+  info.right_border = end == n;
+  info.step_case = wkey >= capacity_ ? StepCase::kHeavy : StepCase::kLight;
+  if (started) info.fractured = iota_;
+
+  const JobId wr = last.job;
+  Res left = last.share - max_share;  // wr's key after the block
+  if (wsize == 1 && max_share == capacity_ && last.share > capacity_) {
+    // The walk's solo_run(): ⌊key/C⌋ full-capacity steps in one block.
+    info.repeat = last.share / capacity_;
+    left = last.share - info.repeat * capacity_;
+    if (obs::enabled()) ++stats_.fast_forward_blocks;
+  } else if (end > next_unstarted_) {
+    // Every unstarted member but wr gets its full requirement; ι, keyed
+    // below r_ι, never does.
+    info.full_requirement_jobs =
+        end - next_unstarted_ - 1 + (max_share == reqs_[wr] ? 1 : 0);
+  }
+  last.share = max_share;
+  info.resource_used = others + max_share;
+  // Every member but wr finishes; wr finishes or becomes ι, which the walk
+  // re-inserts at the front: left < r_wr ≤ every unstarted requirement.
+  remaining_jobs_ -= wsize - 1;
+  next_unstarted_ = end;
+  now_ += info.repeat;
+  if (left == 0) {
+    --remaining_jobs_;
+    iota_ = kNoJob;
+  } else {
+    iota_ = wr;
+    iota_key_ = left;
+  }
+}
+
 StepInfo UnitEngine::step() {
+  if (!walk_built_) build_walk();
   StepInfo info;
   execute(build_window(), info);
   return info;
@@ -291,17 +384,26 @@ void UnitEngine::publish_stats() {
 }
 
 void UnitEngine::run(Schedule& out, bool fast_forward, StepObserver* observer) {
+  const bool prefix = fast_forward && !walk_built_ && prefix_regime();
+  if (!prefix && !walk_built_) build_walk();
   run_blocks(*this, out, remaining_jobs_ / m_ + 1, kStepSite, [&] {
-    const StepPlan plan = build_window();
-    if (fast_forward && solo_run(plan)) {
-      execute_solo(plan, info_);
+    if (prefix) {
+      prefix_block(info_);
     } else {
-      execute(plan, info_);
+      const StepPlan plan = build_window();
+      if (fast_forward && solo_run(plan)) {
+        execute_solo(plan, info_);
+      } else {
+        execute(plan, info_);
+      }
     }
     if (obs::enabled()) count_block(info_);
     emit_block(out, info_.repeat, info_.shares, observer, info_);
   });
-  if (obs::enabled()) publish_stats();
+  if (obs::enabled()) {
+    if (prefix) SHAREDRES_OBS_COUNT("engine.unit.prefix_runs");
+    publish_stats();
+  }
 }
 
 }  // namespace sharedres::core

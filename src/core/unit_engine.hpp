@@ -7,11 +7,22 @@
 // processors (m-maximal instead of (m−1)-maximal), which improves the
 // asymptotic ratio from 1 + 2/(m−2) to 1 + 1/(m−1).
 //
-// The engine keeps the unfinished jobs in a doubly-linked list sorted by
+// The walk keeps the unfinished jobs in a doubly-linked list sorted by
 // *current* requirement (r_j for unstarted jobs, s_ι(t−1) for ι) and rebuilds
 // the window around ι every step: all window jobs except the rightmost finish
-// within the step, the rightmost becomes the new ι. Its window walk is its
-// own; run() shares the other engines' shell (run_blocks, emit_block in
+// within the step, the rightmost becomes the new ι. step() and a stepwise
+// run() always walk; the walk is the engine's reference.
+//
+// A fast-forward run() first asks whether the instance is in the *prefix
+// regime*: n ≤ m, or the m smallest r_j sum to at least C. Then the walk
+// never slides (MoveWindowRight) and every window is ι (at the front of the
+// virtual order, since q = r_ρ − share < r_ρ for the previous window's
+// maximum ρ) followed by the next unstarted jobs in sorted order: later
+// unstarted m-windows sum to at least the first one. The whole walk state
+// collapses to the first unstarted index c and ι's key q, so run() scans the
+// sorted requirement lane once, block by block, without building the list.
+// It emits the walk's blocks, StepInfo and engine.unit.* counters exactly.
+// Both paths share the other engines' shell (run_blocks, emit_block in
 // core/engine_driver.hpp).
 #pragma once
 
@@ -32,27 +43,31 @@ class UnitEngine {
   /// Requires instance.unit_size() and m ≥ 2.
   explicit UnitEngine(const Instance& instance);
 
-  /// Rebind the engine to a new instance, reusing all internal buffers
-  /// (key array, linked list, next-alive DSU). Equivalent to constructing a
-  /// fresh engine, but allocation-free once the buffers have grown to the
-  /// largest instance seen — the batch pipeline's steady-state path. The
+  /// Rebind the engine to a new instance, reusing all internal buffers.
+  /// Equivalent to constructing a fresh engine, but allocation-free once the
+  /// buffers have grown to the largest instance seen — the batch pipeline's
+  /// steady-state path. The walk's state (key array, linked list, next-alive
+  /// DSU) is built by the first step() or walking run(), not here. The
   /// instance must stay alive for the engine's lifetime.
   void reset(const Instance& instance);
 
   [[nodiscard]] bool done() const { return remaining_jobs_ == 0; }
   [[nodiscard]] Time now() const { return now_; }
 
-  /// Execute one time step; returns the emitted StepInfo.
+  /// Execute one time step of the walk; returns the emitted StepInfo.
   StepInfo step();
 
   /// Run to completion. fast_forward collapses the long solo runs of a
-  /// single high-requirement job into one block. Strong exception guarantee
-  /// for `out`: if a step throws, `out` is rolled back to its state at
-  /// entry, and the engine is fit only for reset() or destruction.
+  /// single high-requirement job into one block and, on a fresh engine in
+  /// the prefix regime, replaces the walk by the prefix scan (file comment);
+  /// the schedule, the StepInfo sequence and the counters are the walk's.
+  /// Strong exception guarantee for `out`: if a step throws, `out` is rolled
+  /// back to its state at entry, and the engine is fit only for reset() or
+  /// destruction.
   void run(Schedule& out, bool fast_forward = true,
            StepObserver* observer = nullptr);
 
-  // ---- introspection for tests ----
+  // ---- introspection of the walk, for tests (valid after step()) ----
   [[nodiscard]] Res remaining(JobId j) const { return rem_[j]; }
   /// Unfinished jobs in current virtual order (sorted by current key).
   [[nodiscard]] std::vector<JobId> virtual_order() const;
@@ -68,6 +83,15 @@ class UnitEngine {
   };
 
   static constexpr const char* kStepSite = "unit_engine.step";
+
+  /// Build the walk's state for the bound instance (reset() defers it).
+  void build_walk();
+  /// The prefix regime (file comment): n ≤ m, or Σ of the m smallest r_j
+  /// is at least C.
+  [[nodiscard]] bool prefix_regime() const;
+  /// One block of the prefix scan: the walk's next block, described in
+  /// `info` (whose share vector is reused).
+  void prefix_block(StepInfo& info);
 
   [[nodiscard]] Res key(JobId j) const { return rem_[j]; }
   [[nodiscard]] StepPlan build_window() const;
@@ -115,6 +139,11 @@ class UnitEngine {
 
   std::size_t remaining_jobs_ = 0;
   Time now_ = 0;
+  bool walk_built_ = false;
+  /// The prefix scan's state: the first unstarted sorted job c (every job
+  /// before it is finished or ι) and ι's key q (the walk keeps it in rem_).
+  JobId next_unstarted_ = 0;
+  Res iota_key_ = 0;
   /// run()'s per-block description, reused across blocks and runs so a
   /// block allocates nothing once its share vector has grown.
   StepInfo info_;

@@ -1,4 +1,4 @@
-// Checked 64-bit integer arithmetic with 128-bit intermediates.
+// Checked 64-bit integer arithmetic (products through 128-bit intermediates).
 //
 // All resource bookkeeping in this library is exact integer arithmetic in
 // "resource units" (see DESIGN.md §2). These helpers centralize the overflow
@@ -34,14 +34,14 @@ constexpr i64 mul_checked(i64 a, i64 b) {
   return static_cast<i64>(p);
 }
 
-/// Exact sum; throws OverflowError if the result does not fit in i64.
+/// Exact sum; throws OverflowError if the result does not fit in i64. One
+/// add and a branch on the overflow flag: window scans call it per member.
 constexpr i64 add_checked(i64 a, i64 b) {
-  const i128 s = static_cast<i128>(a) + static_cast<i128>(b);
-  if (s > static_cast<i128>(std::numeric_limits<i64>::max()) ||
-      s < static_cast<i128>(std::numeric_limits<i64>::min())) {
+  i64 s = 0;
+  if (__builtin_add_overflow(a, b, &s)) {
     throw OverflowError("add_checked: 64-bit overflow");
   }
-  return static_cast<i64>(s);
+  return s;
 }
 
 /// ⌈a / b⌉. PRECONDITION: a ≥ 0, b > 0 (all callers divide non-negative

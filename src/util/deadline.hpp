@@ -3,14 +3,13 @@
 // A solve that must not run away (a service request with a latency contract,
 // a soak harness driving adversarial instances) installs a deadline::Scope on
 // its thread before calling into an engine. Every engine's block loop
-// (core::run_blocks, core/engine_driver.hpp) — and the descriptor-parallel
-// skeleton — calls deadline::check(site) once per block, next to the
-// engine's SHAREDRES_FAILPOINT site. When the scope's step budget is
-// exhausted (or its wall-clock deadline has passed) the check throws a typed
-// util::Error (code kDeadlineExceeded); run_blocks rolls the output schedule
-// back, and the engine's reset() rebinds it for the next request, so an
-// aborted solve never corrupts reusable state (tested in
-// tests/test_engine_driver.cpp, tests/test_batch.cpp and
+// (core::run_blocks, core/engine_driver.hpp) calls deadline::check(site)
+// once per block, next to the engine's SHAREDRES_FAILPOINT site. When the
+// scope's step budget is exhausted (or its wall-clock deadline has passed)
+// the check throws a typed util::Error (code kDeadlineExceeded); run_blocks
+// rolls the output schedule back, and the engine's reset() rebinds it for
+// the next request, so an aborted solve never corrupts reusable state
+// (tested in tests/test_engine_driver.cpp, tests/test_batch.cpp and
 // tests/test_service.cpp).
 //
 // Unlike fail points this is a production feature, compiled into every build:
@@ -78,7 +77,7 @@ class Scope {
 /// is consulted only every 1024 steps so the hot loop never pays a clock
 /// read per iteration. `site` names the loop for the error message
 /// ("sos_engine.step", "unit_engine.step", "improved_engine.step",
-/// "multires_engine.step", "parallel_unit.skeleton").
+/// "multires_engine.step").
 void check(const char* site);
 
 }  // namespace sharedres::util::deadline

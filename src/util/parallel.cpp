@@ -166,7 +166,7 @@ namespace detail {
 void parallel_chunks(std::size_t count,
                      void (*body)(void* ctx, std::size_t begin,
                                   std::size_t end),
-                     void* ctx, std::size_t threads, bool all_static) {
+                     void* ctx, std::size_t threads) {
   if (count == 0) return;
   // Invocation/item counts are structural (deterministic across --threads);
   // worker and dispatch counts depend on the thread count, hence volatile.
@@ -191,10 +191,8 @@ void parallel_chunks(std::size_t count,
   SHAREDRES_OBS_COUNT_N_V("parallel.workers_launched", workers);
   // The first `static_total` indices are split evenly (one static chunk per
   // worker, zero coordination); the rest is served in small dynamic chunks
-  // so a worker stuck on an expensive cell doesn't serialize the tail. The
-  // hybrid statically splits half the range; all_static splits all of it,
-  // so which indices land together never depends on scheduling.
-  const std::size_t static_total = all_static ? count : count / 2;
+  // so a worker stuck on an expensive cell doesn't serialize the tail.
+  const std::size_t static_total = count / 2;
   const std::size_t chunk =
       std::max<std::size_t>(1, (count - static_total) / (workers * 8));
   std::atomic<std::size_t> cursor{static_total};
@@ -209,7 +207,7 @@ void parallel_chunks(std::size_t count,
       const std::size_t begin = static_total * t / workers;
       const std::size_t end = static_total * (t + 1) / workers;
       if (begin < end) body(ctx, begin, end);
-      while (!all_static) {
+      for (;;) {
         const std::size_t lo =
             cursor.fetch_add(chunk, std::memory_order_relaxed);
         if (lo >= count) break;
@@ -220,9 +218,7 @@ void parallel_chunks(std::size_t count,
       const std::lock_guard<std::mutex> lock(error_mutex);
       if (!first_error) first_error = std::current_exception();
     }
-    if (!all_static) {
-      SHAREDRES_OBS_COUNT_N_V("parallel.dynamic_dispatches", dispatches);
-    }
+    SHAREDRES_OBS_COUNT_N_V("parallel.dynamic_dispatches", dispatches);
   };
 
   std::vector<std::thread> pool;

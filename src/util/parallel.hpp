@@ -45,31 +45,26 @@ namespace sharedres::util {
 /// An empty value counts as unset.
 [[nodiscard]] std::size_t default_threads(std::size_t max_threads = 64);
 
-/// True on a thread currently executing inside a parallel_for /
-/// parallel_for_ranges worker or a WorkerPool task. Parallel entry points
-/// consult it to serialize instead of spawning: nested fan-out (a batch
-/// worker whose engine run reaches the intra-instance parallel path) would
-/// oversubscribe the machine and deadlock a bounded pool, so the inner call
-/// simply runs its body inline on the calling thread.
+/// True on a thread currently executing inside a parallel_for worker or a
+/// WorkerPool task. Parallel entry points consult it to serialize instead of
+/// spawning: nested fan-out (a parallel_for body or a pool task that calls
+/// parallel_for) would oversubscribe the machine and deadlock a bounded
+/// pool, so the inner call simply runs its body inline on the calling
+/// thread.
 [[nodiscard]] bool in_parallel_region();
 
 namespace detail {
 
 /// Type-erased chunk dispatcher: invokes body(ctx, begin, end) over disjoint
 /// ranges covering [0, count) across T = min(threads, count) workers. Worker
-/// t first takes the static range [S·t/T, S·(t+1)/T), then drains [S, count)
-/// in small dynamic chunks from an atomic cursor. The hybrid has S = count/2;
-/// `all_static` sets S = count, so worker t receives exactly
-/// [count·t/T, count·(t+1)/T) — no dynamic tail, no work stealing — and the
-/// range-to-worker map is a pure function of (count, threads): a body whose
-/// writes depend only on the indices it receives produces bit-identical
-/// results at every thread count (the engine determinism contract,
-/// DESIGN.md §12). Exceptions thrown by the body are captured and the first
-/// one rethrown on the calling thread after all workers join.
+/// t first takes the static range [S·t/T, S·(t+1)/T) with S = count/2, then
+/// drains [S, count) in small dynamic chunks from an atomic cursor.
+/// Exceptions thrown by the body are captured and the first one rethrown on
+/// the calling thread after all workers join.
 void parallel_chunks(std::size_t count,
                      void (*body)(void* ctx, std::size_t begin,
                                   std::size_t end),
-                     void* ctx, std::size_t threads, bool all_static);
+                     void* ctx, std::size_t threads);
 
 }  // namespace detail
 
@@ -87,27 +82,7 @@ void parallel_for(std::size_t count, Fn&& fn,
         for (std::size_t i = begin; i < end; ++i) body(i);
       },
       const_cast<void*>(static_cast<const void*>(std::addressof(fn))),
-      threads, /*all_static=*/false);
-}
-
-/// Invoke fn(begin, end) over disjoint ranges covering [0, count) on a
-/// deterministic static partition (detail::parallel_chunks, all_static).
-/// Use this instead of parallel_for when the *chunk boundaries themselves*
-/// must not depend on scheduling — e.g. the intra-instance engine path,
-/// whose output must be bit-identical across SHAREDRES_THREADS. Serializes
-/// when called from inside another parallel region.
-template <class Fn>
-void parallel_for_ranges(std::size_t count, Fn&& fn,
-                         std::size_t threads = default_threads()) {
-  using Body = std::remove_reference_t<Fn>;
-  detail::parallel_chunks(
-      count,
-      [](void* ctx, std::size_t begin, std::size_t end) {
-        Body& body = *static_cast<Body*>(ctx);
-        body(begin, end);
-      },
-      const_cast<void*>(static_cast<const void*>(std::addressof(fn))),
-      threads, /*all_static=*/true);
+      threads);
 }
 
 /// Map [0, count) through fn in parallel, collecting results in index order

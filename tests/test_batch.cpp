@@ -700,7 +700,8 @@ TEST(BatchCache, EvictionThrashAtCapacityTwoKeepsDeterminism) {
   // that the second visit misses again: constant eviction churn. The
   // counters — and the whole output — must still be identical across
   // SHAREDRES_THREADS, because every eviction decision happens on the
-  // reader.
+  // reader. The cache is what --cache=2 builds: the default shard count
+  // clamped to the capacity, so two one-entry shards.
   std::vector<std::string> lines;
   for (int round = 0; round < 2; ++round) {
     for (std::uint64_t i = 0; i < 8; ++i) {
@@ -716,7 +717,6 @@ TEST(BatchCache, EvictionThrashAtCapacityTwoKeepsDeterminism) {
 
   BatchOptions on = off;
   on.cache_capacity = 2;
-  on.cache_shards = 1;
   std::string first_cached;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     on.threads = threads;
@@ -729,8 +729,9 @@ TEST(BatchCache, EvictionThrashAtCapacityTwoKeepsDeterminism) {
       EXPECT_EQ(cached, first_cached) << "threads=" << threads;
     }
   }
-  // 8 distinct keys through a 2-entry cache, twice: every acquire misses
-  // and all but the 2 resident entries were evicted.
+  // 8 distinct keys over two one-entry shards, twice: both shards see
+  // several keys, so every acquire misses and all but the 2 resident
+  // entries were evicted.
   EXPECT_EQ(summary_counter(first_cached, "cache.misses"), 16.0);
   EXPECT_EQ(summary_counter(first_cached, "cache.hits"), 0.0);
   EXPECT_EQ(summary_counter(first_cached, "cache.evictions"), 14.0);

@@ -1,18 +1,15 @@
 // util::parallel_for / parallel_map: completeness, determinism of collected
-// results, exception propagation, chunk hybrid behavior, the
-// SHAREDRES_THREADS override (including its typed rejection of invalid
-// values), the static-partition parallel_for_ranges (exact chunk boundaries,
-// nested-region serialization), and the bounded WorkerPool.
+// results, exception propagation, chunk hybrid behavior, nested-region
+// serialization, the SHAREDRES_THREADS override (including its typed
+// rejection of invalid values), and the bounded WorkerPool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -104,65 +101,23 @@ TEST(Parallel, MapDeterministicUnderSkewAndThreadCount) {
   }
 }
 
-using Range = std::pair<std::size_t, std::size_t>;
-
-std::vector<Range> collect_ranges(std::size_t count, std::size_t threads) {
-  std::mutex mu;
-  std::vector<Range> got;
-  parallel_for_ranges(
-      count,
-      [&](std::size_t begin, std::size_t end) {
-        const std::lock_guard<std::mutex> lock(mu);
-        got.emplace_back(begin, end);
-      },
-      threads);
-  std::sort(got.begin(), got.end());
-  return got;
-}
-
-TEST(ParallelForRanges, ChunkBoundariesAreExactlyTheStaticPartition) {
-  // The determinism contract (DESIGN.md §12) is that worker t receives
-  // precisely [count·t/T, count·(t+1)/T) — not merely that every index is
-  // covered. Engines rely on the boundaries themselves being a pure
-  // function of (count, threads).
-  constexpr std::size_t kCount = 1'000;
-  for (const std::size_t threads : {1u, 2u, 8u, 16u}) {
-    std::vector<Range> expected;
-    if (threads <= 1) {
-      expected.emplace_back(0, kCount);
-    } else {
-      const std::size_t workers = std::min(threads, kCount);
-      for (std::size_t t = 0; t < workers; ++t) {
-        const std::size_t begin = kCount * t / workers;
-        const std::size_t end = kCount * (t + 1) / workers;
-        if (begin < end) expected.emplace_back(begin, end);
-      }
-    }
-    EXPECT_EQ(collect_ranges(kCount, threads), expected)
-        << "threads=" << threads;
+TEST(Parallel, PropagatesChunkException) {
+  // Wherever the throwing item falls — the first static chunk, the start of
+  // the dynamic tail (index count/2), the last item — the exception reaches
+  // the caller after all workers join.
+  for (const std::size_t bad : {0u, 500u, 999u}) {
+    EXPECT_THROW(parallel_for(
+                     1'000,
+                     [bad](std::size_t i) {
+                       if (i == bad) throw std::runtime_error("item failed");
+                     },
+                     8),
+                 std::runtime_error)
+        << "bad=" << bad;
   }
 }
 
-TEST(ParallelForRanges, MoreThreadsThanItemsAndEmptyCount) {
-  EXPECT_EQ(collect_ranges(3, 16), (std::vector<Range>{{0, 1}, {1, 2},
-                                                       {2, 3}}));
-  parallel_for_ranges(
-      0, [](std::size_t, std::size_t) { FAIL() << "must not be called"; }, 8);
-}
-
-TEST(ParallelForRanges, PropagatesChunkException) {
-  EXPECT_THROW(parallel_for_ranges(
-                   1'000,
-                   [](std::size_t begin, std::size_t end) {
-                     if (begin <= 500 && 500 < end) {
-                       throw std::runtime_error("chunk failed");
-                     }
-                   },
-                   8),
-               std::runtime_error);
-}
-
-TEST(ParallelForRanges, NestedCallFromParallelWorkerSerializes) {
+TEST(Parallel, NestedCallFromParallelWorkerSerializes) {
   // A parallel region reached from inside another parallel region must run
   // its body inline on the calling thread: nested fan-out would
   // oversubscribe, and (worse) a nested submit into a bounded pool could
@@ -174,11 +129,11 @@ TEST(ParallelForRanges, NestedCallFromParallelWorkerSerializes) {
       [&](std::size_t) {
         EXPECT_TRUE(in_parallel_region());
         const std::thread::id outer = std::this_thread::get_id();
-        parallel_for_ranges(
+        parallel_for(
             100,
-            [&](std::size_t begin, std::size_t end) {
+            [&](std::size_t) {
               EXPECT_EQ(std::this_thread::get_id(), outer);
-              inner_items.fetch_add(end - begin, std::memory_order_relaxed);
+              inner_items.fetch_add(1, std::memory_order_relaxed);
             },
             16);
       },
@@ -188,19 +143,19 @@ TEST(ParallelForRanges, NestedCallFromParallelWorkerSerializes) {
 }
 
 TEST(WorkerPool, TaskBodiesAreParallelRegionsSoNestedFanoutSerializes) {
-  // The batch pipeline's workers may run engines that themselves reach the
-  // intra-instance parallel path; that inner call must not spawn.
+  // A pool task that reaches parallel_for (a batch worker calling into a
+  // sweep) must not spawn.
   std::atomic<std::size_t> inner_items{0};
   WorkerPool pool(2, 4);
   for (int i = 0; i < 8; ++i) {
     pool.submit([&](std::size_t) {
       EXPECT_TRUE(in_parallel_region());
       const std::thread::id worker = std::this_thread::get_id();
-      parallel_for_ranges(
+      parallel_for(
           50,
-          [&](std::size_t begin, std::size_t end) {
+          [&](std::size_t) {
             EXPECT_EQ(std::this_thread::get_id(), worker);
-            inner_items.fetch_add(end - begin, std::memory_order_relaxed);
+            inner_items.fetch_add(1, std::memory_order_relaxed);
           },
           8);
     });
@@ -261,46 +216,6 @@ TEST(Parallel, DefaultThreadsRejectsInvalidEnvWithTypedError) {
                 std::string::npos)
           << bad;
     }
-  }
-}
-
-TEST(ParallelForRanges, HonorsEnvPinnedThreadCounts) {
-  // The CI determinism gate pins SHAREDRES_THREADS and expects the same
-  // partition the explicit-argument form produces: the env value flows
-  // through default_threads() into the chunk formula, tiling [0, count)
-  // exactly.
-  const ThreadsEnvGuard guard;
-  constexpr std::size_t kCount = 777;
-  for (const char* pin : {"1", "2", "8", "16"}) {
-    ::setenv("SHAREDRES_THREADS", pin, 1);
-    std::mutex mu;
-    std::vector<Range> got;
-    parallel_for_ranges(kCount, [&](std::size_t begin, std::size_t end) {
-      const std::lock_guard<std::mutex> lock(mu);
-      got.emplace_back(begin, end);
-    });
-    std::sort(got.begin(), got.end());
-
-    const std::size_t threads = default_threads();
-    std::vector<Range> expected;
-    if (threads <= 1) {
-      expected.emplace_back(0, kCount);
-    } else {
-      const std::size_t workers = std::min(threads, kCount);
-      for (std::size_t t = 0; t < workers; ++t) {
-        const std::size_t begin = kCount * t / workers;
-        const std::size_t end = kCount * (t + 1) / workers;
-        if (begin < end) expected.emplace_back(begin, end);
-      }
-    }
-    EXPECT_EQ(got, expected) << "SHAREDRES_THREADS=" << pin;
-
-    std::size_t cursor = 0;
-    for (const Range& r : got) {
-      ASSERT_EQ(r.first, cursor) << "SHAREDRES_THREADS=" << pin;
-      cursor = r.second;
-    }
-    EXPECT_EQ(cursor, kCount) << "SHAREDRES_THREADS=" << pin;
   }
 }
 

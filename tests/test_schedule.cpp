@@ -9,8 +9,9 @@
 // with versions that count calls while a flag is up, so a test can count
 // what one call allocates and frees. On a warm batch::WorkerScratch a solve
 // through batch::solve_into must allocate the same number of times for a
-// ~20-block and a ~500-block record on the window, unit, improved and
-// multires rows: no allocation or free may scale with the block count.
+// ~20-block and a ~500-block record on the window, unit (walk and prefix
+// scan), improved and multires rows: no allocation or free may scale with
+// the block count.
 //
 // Sanitizers that interpose the allocator (ASan, TSan, MSan) keep their own
 // operator new; there the counting is compiled out and those cases skip.
@@ -297,9 +298,10 @@ struct GuardCase {
   Instance large;  ///< ~500 blocks
 };
 
-Instance sos_instance(std::size_t jobs, std::uint64_t seed, bool unit) {
+Instance sos_instance(std::size_t jobs, std::uint64_t seed, bool unit,
+                      int machines = 8) {
   workloads::SosConfig cfg;
-  cfg.machines = 8;
+  cfg.machines = machines;
   cfg.jobs = jobs;
   cfg.max_size = unit ? 1 : 40;
   cfg.seed = seed;
@@ -322,6 +324,10 @@ std::vector<GuardCase> guard_cases() {
                    sos_instance(480, 4, false)});
   cases.push_back({"unit", sos_instance(70, 5, true),
                    sos_instance(1800, 6, true)});
+  // At m = 64 the 64 smallest requirements fill C: the unit engine's
+  // prefix scan, not its walk.
+  cases.push_back({"unit", sos_instance(100, 11, true, 64),
+                   sos_instance(2000, 12, true, 64)});
   cases.push_back({"improved", sos_instance(20, 7, false),
                    sos_instance(500, 8, false)});
   cases.push_back({"multires", multires_instance(20, 9),

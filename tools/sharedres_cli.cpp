@@ -45,15 +45,18 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sstream>
@@ -109,7 +112,7 @@ int usage() {
          "[--count=K --format=ndjson] [--out=f]\n"
          "  solve    --instance=f [--algorithm="
       << algorithms
-      << "] [--parallel=N] [--gantt] [--stats] [--svg=f.svg] [--out=f]\n"
+      << "] [--gantt] [--stats] [--svg=f.svg] [--out=f]\n"
          "  validate --instance=f --schedule=f [--json] [--max-violations=N]\n"
          "  bounds   --instance=f\n"
          "  pack     --instance=<packing file> [--algorithm=window|nextfit|"
@@ -134,6 +137,22 @@ int usage() {
   return kExitUsage;
 }
 
+// An integer flag read into T. A value T cannot hold (a negative count, a
+// machine count past INT_MAX) is a usage error naming the flag (exit 2),
+// thrown before any work starts instead of wrapping in a cast.
+template <class T>
+T get_checked(const util::Cli& cli, const char* key, T fallback) {
+  const std::int64_t value =
+      cli.get_int(key, static_cast<std::int64_t>(fallback));
+  if (!std::in_range<T>(value)) {
+    throw util::Error::cli(
+        key, std::to_string(value) + " is outside [" +
+                 std::to_string(std::numeric_limits<T>::min()) + ", " +
+                 std::to_string(std::numeric_limits<T>::max()) + "]");
+  }
+  return static_cast<T>(value);
+}
+
 // The solver row named by --algorithm, or nullptr for an unknown name: a
 // usage error (exit 2), reported before any input or output file is touched
 // (run_batch and the Service constructor would only reject it later).
@@ -148,9 +167,9 @@ const batch::Solver* lookup_algorithm(const char* command,
 
 int cmd_gen(const util::Cli& cli) {
   workloads::SosConfig cfg;
-  cfg.machines = static_cast<int>(cli.get_int("machines", 8));
+  cfg.machines = get_checked<int>(cli, "machines", 8);
   cfg.capacity = cli.get_int("capacity", 1'000'000);
-  cfg.jobs = static_cast<std::size_t>(cli.get_int("jobs", 100));
+  cfg.jobs = get_checked<std::size_t>(cli, "jobs", 100);
   cfg.max_size = cli.get_int("max-size", 4);
   cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const std::string family = cli.get("family", "uniform");
@@ -549,12 +568,12 @@ int cmd_loadgen(const util::Cli& cli) {
   }
   workloads::TrafficStreamConfig stream_cfg;
   stream_cfg.family = cli.get("family", "uniform");
-  stream_cfg.sos.machines = static_cast<int>(cli.get_int("machines", 8));
+  stream_cfg.sos.machines = get_checked<int>(cli, "machines", 8);
   stream_cfg.sos.capacity = cli.get_int("capacity", 1'000'000);
-  stream_cfg.sos.jobs = static_cast<std::size_t>(cli.get_int("jobs", 24));
+  stream_cfg.sos.jobs = get_checked<std::size_t>(cli, "jobs", 24);
   stream_cfg.sos.max_size = cli.get_int("max-size", 4);
   stream_cfg.sos.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  stream_cfg.requests = static_cast<std::size_t>(cli.get_int("requests", 64));
+  stream_cfg.requests = get_checked<std::size_t>(cli, "requests", 64);
   stream_cfg.id_prefix = cli.get("id-prefix", "req");
   const std::int64_t deadline_steps = cli.get_int("deadline-steps", 0);
   // Arrival process shape. arrivals.rate is the mean per STEP (shape knob);
@@ -838,29 +857,12 @@ int cmd_solve(const util::Cli& cli) {
   const std::string algorithm = cli.get("algorithm", "window");
   const batch::Solver* solver = lookup_algorithm("solve", algorithm);
   if (!solver) return kExitUsage;
-  // --parallel=N engages the descriptor-parallel unit engine with N workers
-  // (0 = scalar, the default). Unit-only: no other algorithm has a parallel
-  // path, and silently ignoring the flag would misreport an experiment.
-  const std::int64_t parallel = cli.get_int("parallel", 0);
-  if (parallel < 0) {
-    std::cerr << "solve: --parallel must be >= 0\n";
-    return kExitUsage;
-  }
-  if (parallel > 0 && algorithm != "unit") {
-    std::cerr << "solve: --parallel requires --algorithm=unit\n";
-    return kExitUsage;
-  }
   const core::Instance inst = io::load_instance(path);
   solver->check(inst);
 
   core::Schedule schedule;
-  if (parallel > 0) {
-    schedule = core::schedule_sos_unit(
-        inst, {.parallel_threads = static_cast<std::size_t>(parallel)});
-  } else {
-    core::EngineScratch engines;
-    solver->solve(inst, schedule, engines);
-  }
+  core::EngineScratch engines;
+  solver->solve(inst, schedule, engines);
 
   const auto check = core::validate(inst, schedule);
   if (!check.ok) {
@@ -909,7 +911,7 @@ int cmd_validate(const util::Cli& cli) {
   }
   const bool json = cli.has("json");
   const auto max_violations =
-      static_cast<std::size_t>(cli.get_int("max-violations", 1024));
+      get_checked<std::size_t>(cli, "max-violations", 1024);
   const core::Instance inst = io::load_instance(inst_path);
   const core::Schedule schedule = io::load_schedule(sched_path);
   if (json) {
